@@ -9,10 +9,11 @@ config reproduces the old constants bit-for-bit — and adds the knobs of
 the partition-migration cost model.
 
 ``vector_messages`` selects the struct-of-arrays message plane: the
-intra-socket hubs store modeled messages as parallel numpy columns and
-the workers drain them with vectorized budget cuts.  The SoA plane is
-bit-identical to the scalar object plane (same drain order, tie-breaks,
-and float folds), so the flag is purely a kill switch / A-B oracle.
+intra-socket hubs store modeled messages as rows of parallel numpy
+columns and the workers drain the rows in place, without a ``Message``
+object per operation.  The SoA plane is bit-identical to the scalar
+object plane (same drain order, tie-breaks, and float folds), so the
+flag is purely a kill switch / A-B oracle.
 """
 
 from __future__ import annotations

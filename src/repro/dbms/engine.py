@@ -28,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from typing import Mapping
 
-import numpy as np
-
 from repro.errors import SimulationError
 from repro.dbms.config import DEFAULT_ENGINE_CONFIG, EngineConfig
 from repro.dbms.elasticity import ElasticWorkerPool
@@ -216,43 +214,26 @@ class DatabaseEngine:
         transfer buffers when remote — with the same offline-coordinator
         redirect as :meth:`submit`.
         """
-        coordinators = bank.coordinators
-        if self._offline_sockets:
-            online = min(
-                sid for sid in self.hubs if sid not in self._offline_sockets
-            )
-            offline = np.fromiter(
-                self._offline_sockets, dtype=np.int64
-            )
-            coordinators = np.where(
-                np.isin(coordinators, offline), online, coordinators
-            )
+        coordinators = bank.coordinators.tolist()
+        offline = self._offline_sockets
+        if offline:
+            online = min(sid for sid in self.hubs if sid not in offline)
+            coordinators = [
+                online if sid in offline else sid for sid in coordinators
+            ]
         self.tracker.register_bank(
             bank.first_query_id, bank.fan_out, bank.arrivals_s
         )
-        count = bank.count
         fan = bank.fan_out
         first = bank.first_query_id
-        if count * fan <= 32:
-            # Small banks feed the router's scalar path with plain lists
-            # (same np.repeat replication order, no numpy fixed costs).
-            sources = [
-                sid for sid in coordinators.tolist() for _ in range(fan)
-            ]
-            query_ids = [
-                first + i for i in range(count) for _ in range(fan)
-            ]
-        else:
-            sources = np.repeat(coordinators, fan)
-            query_ids = np.repeat(
-                np.arange(first, first + count, dtype=np.int64), fan
-            )
+        # The columns become lists here, once: routing, buffering and the
+        # hubs' enqueue are scalar chains over them.
         self.router.route_bank(
-            sources,
-            bank.targets,
-            bank.instructions,
-            bank.bytes_accessed,
-            query_ids,
+            [sid for sid in coordinators for _ in range(fan)],
+            bank.targets.tolist(),
+            bank.instructions.tolist(),
+            bank.bytes_accessed.tolist(),
+            [first + i for i in range(bank.count) for _ in range(fan)],
         )
 
     def pending_messages(self) -> int:
@@ -621,16 +602,11 @@ class DatabaseEngine:
         # and replay the balance / utilization updates per tick.  Once
         # the balance hits its fixed point the remaining samples are all
         # identical, so they are appended in one bulk call.
-        if n_valid >= 32:
-            times = np.add.accumulate(
-                np.concatenate(([machine.time_s], np.full(n_valid, dt_s)))
-            )[1:].tolist()
-        else:
-            times = []
-            t = machine.time_s
-            for _ in range(n_valid):
-                t = t + dt_s
-                times.append(t)
+        times = []
+        t = machine.time_s
+        for _ in range(n_valid):
+            t = t + dt_s
+            times.append(t)
         machine.span_step(dt_s, n_valid)
         for sid, hub, executed, capacity_ips, pending, charge, b in plan:
             capacity = capacity_ips * dt_s
@@ -639,19 +615,11 @@ class DatabaseEngine:
                 # Growing-balance fast path, mirroring the validity pass:
                 # use is zero on every tick and the balance is a pure
                 # left fold of ``+ charge``, so the per-tick loop
-                # collapses to one accumulate (bit-identical: chained
-                # np.add.accumulate is a strict left-to-right fold) and
-                # the utilization samples — identical except for their
-                # timestamps — append in one bulk call.
-                if n_valid >= 32:
-                    b = float(
-                        np.add.accumulate(
-                            np.concatenate(([b], np.full(n_valid, charge)))
-                        )[-1]
-                    )
-                else:
-                    for _ in range(n_valid):
-                        b = b + charge
+                # collapses to that fold and the utilization samples —
+                # identical except for their timestamps — append in one
+                # bulk call.
+                for _ in range(n_valid):
+                    b = b + charge
                 self.utilization.record_span(
                     sid, times, capacity, 0.0, pending_instructions=pending
                 )

@@ -26,11 +26,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import MessagingError
 from repro.dbms.config import DEFAULT_ENGINE_CONFIG, EngineConfig
-from repro.dbms.intra_socket import SMALL_RUN as _SMALL_BANK
 from repro.dbms.intra_socket import IntraSocketHub
 from repro.dbms.messages import Message, WorkCost
 
@@ -39,21 +36,19 @@ class _BankChunk:
     """A columnar slice of bank messages riding one outbound buffer.
 
     The vectorized counterpart of buffering ``len(targets)`` individual
-    messages: the parallel columns (numpy arrays, or plain lists for
-    small chunks off the router's scalar fast path) keep the messages'
-    arrival order, and the chunk occupies one deque slot while counting
-    as its full message total for buffered-demand and transfer-cost
-    accounting.
+    messages: the parallel column lists keep the messages' arrival
+    order, and the chunk occupies one deque slot while counting as its
+    full message total for buffered-demand and transfer-cost accounting.
     """
 
     __slots__ = ("targets", "instructions", "bytes_accessed", "query_ids")
 
     def __init__(
         self,
-        targets,
-        instructions,
-        bytes_accessed,
-        query_ids,
+        targets: list[int],
+        instructions: list[float],
+        bytes_accessed: list[float],
+        query_ids: list[int],
     ) -> None:
         self.targets = targets
         self.instructions = instructions
@@ -63,6 +58,33 @@ class _BankChunk:
     @property
     def count(self) -> int:
         return len(self.targets)
+
+    def split(self, keys: list) -> dict:
+        """Group the rows by ``keys`` (one per row) into sub-chunks.
+
+        Each sub-chunk keeps its rows in chunk order.
+        """
+        parts: dict = {}
+        for key, pid, instr, nbytes, qid in zip(
+            keys, self.targets, self.instructions, self.bytes_accessed,
+            self.query_ids,
+        ):
+            part = parts.get(key)
+            if part is None:
+                part = parts[key] = _BankChunk([], [], [], [])
+            part.targets.append(pid)
+            part.instructions.append(instr)
+            part.bytes_accessed.append(nbytes)
+            part.query_ids.append(qid)
+        return parts
+
+    def deliver(self, hub: IntraSocketHub) -> None:
+        """Enqueue every row on ``hub``'s compact columns."""
+        hub.enqueue_bank(
+            self.targets, self.instructions, self.bytes_accessed,
+            self.query_ids,
+        )
+
 
 #: Instruction cost charged per transferred message on each side.
 #: (Default-config alias; tunable per run through ``EngineConfig``.)
@@ -128,14 +150,6 @@ class InterSocketRouter:
         for socket_id, hub in hubs.items():
             for pid in hub.partition_ids:
                 self._partition_home[pid] = socket_id
-        #: Dense mirror of ``_partition_home`` for columnar home lookups.
-        self._home_array = np.full(
-            max(self._partition_home) + 1, -1, dtype=np.int64
-        )
-        for pid, sid in self._partition_home.items():
-            self._home_array[pid] = sid
-        #: Socket-id span for packing (src, dst) route keys into ints.
-        self._socket_span = max(hubs) + 1
         #: Maintained per-route and total buffered-message counts (chunks
         #: count their full message total), replacing the per-call queue
         #: scans of ``total_buffered``.
@@ -182,113 +196,33 @@ class InterSocketRouter:
 
     def route_bank(
         self,
-        sources: np.ndarray,
-        targets: np.ndarray,
-        instructions: np.ndarray,
-        bytes_accessed: np.ndarray,
-        query_ids: np.ndarray,
+        sources: list[int],
+        targets: list[int],
+        instructions: list[float],
+        bytes_accessed: list[float],
+        query_ids: list[int],
     ) -> None:
-        """Route a columnar message block (parallel arrays, arrival order).
+        """Route a columnar message block (parallel lists, arrival order).
 
-        The per-hub and per-route groupings are stable — each hub and
-        each outbound buffer receives exactly its subsequence of the
-        block, in block order — so delivery and drain order match routing
-        the messages one by one.
+        Each hub and each outbound buffer receives exactly its subsequence
+        of the block, in block order, so delivery and drain order match
+        routing the messages one by one.
         """
-        n = len(targets)
-        if n <= _SMALL_BANK:
-            # Small blocks stay off numpy end to end: group with plain
-            # dicts of lists (per-group block order preserved), deliver
-            # locals then buffer remotes in the vector path's ascending
-            # group order.  The hubs and chunks accept the lists as-is.
-            src_list = sources if type(sources) is list else sources.tolist()
-            tgt_list = targets if type(targets) is list else targets.tolist()
-            instr_list = (
-                instructions
-                if type(instructions) is list
-                else instructions.tolist()
-            )
-            byte_list = (
-                bytes_accessed
-                if type(bytes_accessed) is list
-                else bytes_accessed.tolist()
-            )
-            qid_list = (
-                query_ids if type(query_ids) is list else query_ids.tolist()
-            )
-            homes = self._partition_home
-            local_groups: dict = {}
-            remote_groups: dict = {}
-            for j in range(n):
-                pid = tgt_list[j]
-                dst = homes.get(pid)
-                if dst is None:
-                    raise MessagingError(f"unknown partition id {pid}")
-                src = src_list[j]
-                if dst == src:
-                    group = local_groups.get(src)
-                    if group is None:
-                        group = local_groups[src] = ([], [], [], [])
-                else:
-                    group = remote_groups.get((src, dst))
-                    if group is None:
-                        group = remote_groups[(src, dst)] = ([], [], [], [])
-                group[0].append(pid)
-                group[1].append(instr_list[j])
-                group[2].append(byte_list[j])
-                group[3].append(qid_list[j])
-            for sid in sorted(local_groups):
-                group = local_groups[sid]
-                self._hubs[sid].enqueue_bank(
-                    group[0], group[1], group[2], group[3]
-                )
-            for route in sorted(remote_groups):
-                group = remote_groups[route]
-                if route not in self._outbound:
-                    raise MessagingError(
-                        f"unknown source socket {route[0]}"
-                    )
-                self._outbound[route].append(
-                    _BankChunk(group[0], group[1], group[2], group[3])
-                )
-                self._buffered_add(route, len(group[0]))
-            return
-        sources = np.asarray(sources, dtype=np.int64)
-        targets = np.asarray(targets, dtype=np.int64)
-        instructions = np.asarray(instructions, dtype=np.float64)
-        bytes_accessed = np.asarray(bytes_accessed, dtype=np.float64)
-        query_ids = np.asarray(query_ids, dtype=np.int64)
-        homes = self._home_array[targets]
-        if homes.size and int(homes.min()) < 0:
-            bad = int(targets[np.argmin(homes)])
-            raise MessagingError(f"unknown partition id {bad}")
-        local = homes == sources
-        local_idx = np.nonzero(local)[0]
-        if local_idx.size:
-            local_sources = sources[local_idx]
-            for sid in np.unique(local_sources):
-                m = local_idx[local_sources == sid]
-                self._hubs[int(sid)].enqueue_bank(
-                    targets[m], instructions[m], bytes_accessed[m], query_ids[m]
-                )
-        remote_idx = np.nonzero(~local)[0]
-        if remote_idx.size:
-            span = self._socket_span
-            keys = sources[remote_idx] * span + homes[remote_idx]
-            for key in np.unique(keys):
-                m = remote_idx[keys == key]
-                route = (int(key) // span, int(key) % span)
-                if route not in self._outbound:
-                    raise MessagingError(f"unknown source socket {route[0]}")
-                self._outbound[route].append(
-                    _BankChunk(
-                        targets[m],
-                        instructions[m],
-                        bytes_accessed[m],
-                        query_ids[m],
-                    )
-                )
-                self._buffered_add(route, int(m.size))
+        homes = self._partition_home
+        try:
+            routes = [(src, homes[pid]) for src, pid in zip(sources, targets)]
+        except KeyError as exc:
+            raise MessagingError(f"unknown partition id {exc.args[0]}") from None
+        block = _BankChunk(targets, instructions, bytes_accessed, query_ids)
+        for route, part in block.split(routes).items():
+            src, dst = route
+            if src == dst:
+                part.deliver(self._hubs[src])
+                continue
+            if route not in self._outbound:
+                raise MessagingError(f"unknown source socket {src}")
+            self._outbound[route].append(part)
+            self._buffered_add(route, part.count)
 
     def buffered_count(self, source_socket: int, destination_socket: int) -> int:
         """Messages waiting in one outbound buffer."""
@@ -328,7 +262,6 @@ class InterSocketRouter:
         if socket_id not in self._hubs:
             raise MessagingError(f"unknown socket id {socket_id}")
         self._partition_home[partition_id] = socket_id
-        self._home_array[partition_id] = socket_id
 
     def transfer_partition(
         self,
@@ -359,7 +292,6 @@ class InterSocketRouter:
         if data_bytes < 0:
             raise MessagingError(f"negative data_bytes {data_bytes}")
         self._partition_home[partition_id] = target_socket
-        self._home_array[partition_id] = target_socket
         if messages:
             self._outbound[(source, target_socket)].extend(messages)
             self._buffered_add((source, target_socket), len(messages))
@@ -405,6 +337,7 @@ class InterSocketRouter:
         inter_message = self._config.internode_instructions_per_message
         inter_flush = self._config.internode_instructions_per_flush
         bytes_per_message = self._config.transfer_bytes_per_message
+        homes = self._partition_home
         moved = 0
         flushes = 0
         forwarded = 0
@@ -424,71 +357,23 @@ class InterSocketRouter:
                 item = buffer.popleft()
                 if type(item) is _BankChunk:
                     count += item.count
-                    if type(item.targets) is list:
-                        # Scalar chunk: settle the common all-still-home
-                        # case without numpy; a rehomed target (rare —
-                        # a migration landed mid-flight) falls through
-                        # to the vector split below.
-                        home_map = self._partition_home
-                        if all(
-                            home_map[pid] == dst for pid in item.targets
-                        ):
-                            hub.enqueue_bank(
-                                item.targets,
-                                item.instructions,
-                                item.bytes_accessed,
-                                item.query_ids,
-                            )
-                            continue
-                        item = _BankChunk(
-                            np.asarray(item.targets, dtype=np.int64),
-                            np.asarray(item.instructions, dtype=np.float64),
-                            np.asarray(
-                                item.bytes_accessed, dtype=np.float64
-                            ),
-                            np.asarray(item.query_ids, dtype=np.int64),
-                        )
-                    homes = self._home_array[item.targets]
-                    delivered = homes == dst
-                    if delivered.all():
-                        hub.enqueue_bank(
-                            item.targets,
-                            item.instructions,
-                            item.bytes_accessed,
-                            item.query_ids,
-                        )
+                    if all(homes[pid] == dst for pid in item.targets):
+                        item.deliver(hub)
                         continue
                     # A partition moved while the chunk was in flight:
-                    # deliver the still-home subsequence, forward the
-                    # rest as per-destination sub-chunks (block order is
-                    # preserved within each).
-                    if delivered.any():
-                        m = np.nonzero(delivered)[0]
-                        hub.enqueue_bank(
-                            item.targets[m],
-                            item.instructions[m],
-                            item.bytes_accessed[m],
-                            item.query_ids[m],
-                        )
-                    stray = np.nonzero(~delivered)[0]
-                    stray_homes = homes[stray]
-                    for home in np.unique(stray_homes):
-                        m = stray[stray_homes == home]
-                        forwards.append(
-                            (
-                                (dst, int(home)),
-                                _BankChunk(
-                                    item.targets[m],
-                                    item.instructions[m],
-                                    item.bytes_accessed[m],
-                                    item.query_ids[m],
-                                ),
-                            )
-                        )
-                        forwarded += int(m.size)
+                    # deliver the still-home rows, forward the rest as
+                    # per-destination sub-chunks (block order is kept
+                    # within each).
+                    rows_home = [homes[pid] for pid in item.targets]
+                    for home, part in item.split(rows_home).items():
+                        if home == dst:
+                            part.deliver(hub)
+                        else:
+                            forwards.append(((dst, home), part))
+                            forwarded += part.count
                     continue
                 count += 1
-                home = self._partition_home[item.target_partition]
+                home = homes[item.target_partition]
                 if home == dst:
                     hub.enqueue(item)
                 else:

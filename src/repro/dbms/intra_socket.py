@@ -22,9 +22,8 @@ an object side lane for everything that needs a real ``Message`` (real
 operators, RESULT messages, tagged work).  A per-hub enqueue sequence
 number merges the two lanes into one FIFO stream, so drain order, demand
 accounting, and ownership behave bit-identically to the scalar mode —
-the accounting folds replay the scalar chained arithmetic operation for
-operation via ``np.add.accumulate``/``np.subtract.accumulate`` (strict
-left folds).
+the accounting folds are the scalar mode's chained per-message
+arithmetic, run over the columns one value at a time.
 """
 
 from __future__ import annotations
@@ -41,10 +40,9 @@ from repro.dbms.messages import Message, WorkCost
 #: Default number of messages a worker drains per ownership acquisition.
 DEFAULT_BATCH_SIZE = 64
 
-#: Batch size below which the vectorized paths fall back to scalar
-#: chained arithmetic: numpy's fixed per-call overhead (~1µs) exceeds
-#: the loop cost for short runs, and the scalar chain computes the
-#: exact same left folds, so the cutover is invisible to results.
+#: Run length that ``hub.long_run_share`` in ``perfbench/tracer.py``
+#: counts against.  No simulator code branches on it: every message-plane
+#: entry point has one implementation, a scalar chain over the columns.
 SMALL_RUN = 32
 
 #: Demand estimate for messages whose true cost is unknown pre-execution.
@@ -186,10 +184,8 @@ class IntraSocketHub:
         self._depth_heap: list[tuple[int, int, int, int]] = []
         self._entry_gen: dict[int, int] = {}
 
-    def _push_depth(self, partition_id: int, queue=None) -> None:
-        depth = len(
-            self._queues[partition_id] if queue is None else queue
-        )
+    def _push_depth(self, partition_id: int) -> None:
+        depth = len(self._queues[partition_id])
         if depth:
             gen = self._entry_gen.get(partition_id, 0) + 1
             self._entry_gen[partition_id] = gen
@@ -251,20 +247,18 @@ class IntraSocketHub:
 
     def enqueue_bank(
         self,
-        targets,
-        instructions,
-        bytes_accessed,
-        query_ids,
+        targets: list[int],
+        instructions: list[float],
+        bytes_accessed: list[float],
+        query_ids: list[int],
     ) -> None:
         """Buffer a batch of modeled untagged WORK messages (SoA columns).
 
-        The columns are parallel — numpy arrays, or plain Python lists
-        for small banks (the router's scalar fast path hands lists
-        through so tiny banks never touch numpy at all) — one entry per
-        message, in arrival order.  Only valid on a vectorized hub.  The
-        demand accounting replays the scalar per-message folds (one
-        strict left fold per batch), so the pending sums stay
-        bit-identical to enqueueing one by one.
+        The columns are parallel lists, one entry per message, in arrival
+        order.  Only valid on a vectorized hub.  The demand accounting
+        runs the per-message folds of :meth:`enqueue`, so the pending sums
+        stay bit-identical to enqueueing one by one.  A bank that targets
+        a partition not homed here is rejected before anything is written.
 
         Raises:
             MessagingError: on a scalar hub or for partitions not homed
@@ -272,115 +266,48 @@ class IntraSocketHub:
         """
         if not self._vectorized:
             raise MessagingError("enqueue_bank requires a vectorized hub")
-        n = len(targets)
-        if n == 0:
-            return
-        seq0 = self._next_seq
-        self._next_seq = seq0 + n
         queues = self._queues
-        if n <= SMALL_RUN:
-            # Small batches: per-message scalar writes beat the unique/
-            # mask machinery.  Heap pushes replay the vector path's
-            # np.unique order (ascending pid) so acquire tie-breaks are
-            # unchanged.
-            if type(targets) is list:
-                target_list = targets
-                instr_list = instructions
-                bytes_list = bytes_accessed
-                qid_list = query_ids
-            else:
-                target_list = targets.tolist()
-                instr_list = instructions.tolist()
-                bytes_list = bytes_accessed.tolist()
-                qid_list = query_ids.tolist()
-            touched: dict = {}
-            for j in range(n):
-                pid = target_list[j]
-                queue = queues.get(pid)
-                if queue is None:
-                    raise MessagingError(
-                        f"partition {pid} is not on socket {self.socket_id}"
-                    )
-                queue.reserve(1)
-                tail = queue.tail
-                queue.instr[tail] = instr_list[j]
-                queue.nbytes[tail] = bytes_list[j]
-                queue.qid[tail] = qid_list[j]
-                queue.seq[tail] = seq0 + j
-                queue.tail = tail + 1
-                touched[pid] = queue
-            for pid in sorted(touched):
-                self._push_depth(pid, touched[pid])
-            self._pending_messages += n
-            pending = self._pending_instructions
-            for value in instr_list:
-                pending += value
-            self._pending_instructions = pending
-            # The per-message tag tally, verbatim (restart-safe for
-            # degenerate tiny costs).
-            for value in instr_list:
-                stored = self._pending_by_tag.get(None)
-                total = (stored[1] if stored else 0.0) + value
-                if total <= 1e-9:
-                    self._pending_by_tag.pop(None, None)
-                else:
-                    self._pending_by_tag[None] = (None, total)
-            self._tag_version += 1
-            return
-        targets = np.asarray(targets, dtype=np.int64)
-        instructions = np.asarray(instructions, dtype=np.float64)
-        bytes_accessed = np.asarray(bytes_accessed, dtype=np.float64)
-        query_ids = np.asarray(query_ids, dtype=np.int64)
-        seqs = np.arange(seq0, seq0 + n, dtype=np.int64)
-        for pid in np.unique(targets):
-            pid = int(pid)
-            queue = queues.get(pid)
-            if queue is None:
+        per_queue: dict[int, int] = {}
+        for pid in targets:
+            if pid not in queues:
                 raise MessagingError(
                     f"partition {pid} is not on socket {self.socket_id}"
                 )
-            mask = targets == pid
-            m = int(np.count_nonzero(mask))
-            queue.reserve(m)
-            lo, hi = queue.tail, queue.tail + m
-            queue.instr[lo:hi] = instructions[mask]
-            queue.nbytes[lo:hi] = bytes_accessed[mask]
-            queue.qid[lo:hi] = query_ids[mask]
-            queue.seq[lo:hi] = seqs[mask]
-            queue.tail = hi
-            self._push_depth(pid)
-        self._pending_messages += n
-        # The pending fold is the per-hub subsequence of the global
-        # message order, which is exactly the input array order; an
-        # accumulate is the same chained left fold the scalar loop runs.
-        self._pending_instructions = float(
-            np.add.accumulate(
-                np.concatenate(((self._pending_instructions,), instructions))
-            )[-1]
-        )
+            per_queue[pid] = per_queue.get(pid, 0) + 1
+        if not per_queue:
+            return
+        for pid, count in per_queue.items():
+            queues[pid].reserve(count)
+        seq = self._next_seq
+        pending = self._pending_instructions
         stored = self._pending_by_tag.get(None)
-        if stored is not None or float(instructions.min()) > 1e-9:
-            total = float(
-                np.add.accumulate(
-                    np.concatenate(
-                        ((stored[1] if stored else 0.0,), instructions)
-                    )
-                )[-1]
-            )
-            if total <= 1e-9:
-                self._pending_by_tag.pop(None, None)
-            else:
-                self._pending_by_tag[None] = (None, total)
+        tagged = stored[1] if stored else 0.0
+        for pid, instr, nbytes, qid in zip(
+            targets, instructions, bytes_accessed, query_ids
+        ):
+            queue = queues[pid]
+            tail = queue.tail
+            queue.instr[tail] = instr
+            queue.nbytes[tail] = nbytes
+            queue.qid[tail] = qid
+            queue.seq[tail] = seq
+            queue.tail = tail + 1
+            seq += 1
+            pending += instr
+            # The per-message tag tally of :meth:`_tally_tag`: a tally
+            # that falls to the epsilon is dropped and restarts at 0.0.
+            tagged += instr
+            if tagged <= 1e-9:
+                tagged = 0.0
+        self._next_seq = seq
+        for pid in per_queue:
+            self._push_depth(pid)
+        self._pending_messages += len(targets)
+        self._pending_instructions = pending
+        if tagged:
+            self._pending_by_tag[None] = (None, tagged)
         else:
-            # Degenerate tiny costs could pop-and-restart the tally mid
-            # batch; replay the scalar per-message loop exactly.
-            for value in instructions:
-                stored = self._pending_by_tag.get(None)
-                total = (stored[1] if stored else 0.0) + float(value)
-                if total <= 1e-9:
-                    self._pending_by_tag.pop(None, None)
-                else:
-                    self._pending_by_tag[None] = (None, total)
+            self._pending_by_tag.pop(None, None)
         self._tag_version += 1
 
     def pending_cost_instructions(self) -> float:
@@ -570,31 +497,17 @@ class IntraSocketHub:
         """
         return self._queues[partition_id].modeled_run()
 
-    def run_instructions(self, partition_id: int, count: int) -> np.ndarray:
-        """Instruction-cost column view of the head run (no copy)."""
-        queue = self._queues[partition_id]
-        return queue.instr[queue.head : queue.head + count]
+    def head_columns(
+        self, partition_id: int
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """Instruction and byte columns of a partition, and its head index.
 
-    def run_bytes(self, partition_id: int, count: int) -> np.ndarray:
-        """Bytes-accessed column view of the head run (no copy)."""
-        queue = self._queues[partition_id]
-        return queue.nbytes[queue.head : queue.head + count]
-
-    def run_rows(
-        self, partition_id: int, count: int
-    ) -> tuple[list[float], list[float]]:
-        """Instruction and byte columns of the head run as Python lists.
-
-        One call instead of two column views for the worker's small-run
-        scalar drain (``float64.tolist()`` is value-preserving, so the
-        lists carry the exact column values).
+        The columns are the queue's own arrays (no copy); the compact run
+        of :meth:`modeled_run` starts at the head index.  The worker's
+        drain reads only the costs its budget reaches.
         """
         queue = self._queues[partition_id]
-        h = queue.head
-        return (
-            queue.instr[h : h + count].tolist(),
-            queue.nbytes[h : h + count].tolist(),
-        )
+        return queue.instr, queue.nbytes, queue.head
 
     def consume_modeled(
         self,
@@ -602,15 +515,14 @@ class IntraSocketHub:
         partition_id: int,
         count: int,
         round_trip: bool = False,
-    ) -> np.ndarray | list[int]:
+    ) -> list[int]:
         """Consume ``count`` compact entries off an owned partition's head.
 
-        Returns the consumed query-id column (a list for small runs, an
-        array copy otherwise).  With
-        ``round_trip=True`` the entry *after* the consumed run replays
-        the scalar worker's budget-cut round trip — dequeued and
-        immediately requeued (the float folds of that detour are part of
-        the bit-identity contract) — and stays at the queue head.
+        Returns the consumed query ids.  With ``round_trip=True`` the entry
+        *after* the consumed run replays the scalar worker's budget-cut
+        round trip — dequeued and immediately requeued (the float folds
+        of that detour are part of the bit-identity contract) — and stays
+        at the queue head.
 
         Raises:
             OwnershipError: if the caller does not own the partition.
@@ -624,51 +536,22 @@ class IntraSocketHub:
                 f"{partition_id}"
             )
         h = queue.head
-        costs = queue.instr[h : h + folds]
-        # Small runs hand the consumed ids back as a plain list (what the
-        # tracker's scalar settle path wants anyway); big runs as an
-        # array copy.
-        if count <= SMALL_RUN:
-            query_ids = queue.qid[h : h + count].tolist()
-        else:
-            query_ids = queue.qid[h : h + count].copy()
+        query_ids = queue.qid[h : h + count].tolist()
         if folds:
-            # Chained scalar folds, replayed as strict left folds (as a
-            # plain loop for short runs — same chain, no numpy fixed
-            # cost).  The empty-hub snap can only fire on the last
-            # dequeue of the run (earlier entries leave this very queue
-            # non-empty).
-            if folds <= SMALL_RUN:
-                cost_list = costs.tolist()
-                pending = self._pending_instructions
-                for value in cost_list:
-                    pending -= value
-                self._pending_instructions = pending
-                stored = self._pending_by_tag.get(None)
-                if stored is not None:
-                    total = stored[1]
-                    for value in cost_list:
-                        total -= value
-                    if total <= 1e-9:
-                        self._pending_by_tag.pop(None, None)
-                    else:
-                        self._pending_by_tag[None] = (None, total)
-                stored = None
-            else:
-                self._pending_instructions = float(
-                    np.subtract.accumulate(
-                        np.concatenate(((self._pending_instructions,), costs))
-                    )[-1]
-                )
-                stored = self._pending_by_tag.get(None)
+            # The per-message dequeue folds, chained.  The tag tally only
+            # falls, so it is dropped at the end iff some step dropped it;
+            # the empty-hub snap can only fire on the last dequeue (earlier
+            # entries leave this very queue non-empty).
+            costs = queue.instr[h : h + folds].tolist()
+            pending = self._pending_instructions
+            for value in costs:
+                pending -= value
+            self._pending_instructions = pending
+            stored = self._pending_by_tag.get(None)
             if stored is not None:
-                total = float(
-                    np.subtract.accumulate(
-                        np.concatenate(((stored[1],), costs))
-                    )[-1]
-                )
-                # Monotone non-increasing fold: the running minimum is the
-                # final value, so "popped at some step" == "final <= eps".
+                total = stored[1]
+                for value in costs:
+                    total -= value
                 if total <= 1e-9:
                     self._pending_by_tag.pop(None, None)
                 else:
@@ -679,7 +562,7 @@ class IntraSocketHub:
                 self._pending_by_tag.clear()
         queue.head = h + count
         if round_trip:
-            requeued = float(queue.instr[queue.head])
+            requeued = queue.instr.item(queue.head)
             self._pending_messages += 1
             self._pending_instructions += requeued
             stored = self._pending_by_tag.get(None)

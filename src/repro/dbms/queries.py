@@ -152,11 +152,7 @@ class QueryTracker:
             self._bank_remaining = remaining
             self._bank_arrivals = arrivals
         remaining = self._bank_remaining
-        if n <= 32:
-            overlap = any(remaining[slot] for slot in range(lo, hi))
-        else:
-            overlap = bool(remaining[lo:hi].any())
-        if overlap:
+        if any(remaining[slot] for slot in range(lo, hi)):
             raise SimulationError(
                 f"bank block at query {first_query_id} overlaps in-flight ids"
             )
@@ -166,84 +162,41 @@ class QueryTracker:
         self.dispatched_count += n
 
     def on_compact_done(
-        self, query_ids, now_s: float
+        self, query_ids: list[int], now_s: float
     ) -> list[QueryCompletion]:
         """Account one drained compact run of bank-registered messages.
 
-        ``query_ids`` is the run's id column — a plain list (what the
-        hub's small-run consume hands back) or a numpy array.  Decrements
-        the remaining-message counts per query and returns the
-        completions in the order the per-message path would emit them:
-        each finished query completes at its *last* message of the run,
-        so completions are ordered by last-occurrence position.
+        ``query_ids`` is the run's id list.  Decrements the remaining-
+        message count per message and returns the completions in the
+        order the per-message path emits them: a query completes at its
+        last message of the run, the decrement that reaches zero.
         """
         base = self._bank_base
         if base is None:
             raise SimulationError("compact run before any bank registration")
-        if len(query_ids) <= 32:
-            # Short runs: the scalar decrement loop *is* the reference
-            # semantics (a query completes at its last message, i.e. the
-            # decrement that reaches zero) — and numpy's unique/argsort
-            # overhead dwarfs it at this size.
-            remaining = self._bank_remaining
-            size = remaining.size
-            done_list: list[int] = []
-            if type(query_ids) is not list:
-                query_ids = query_ids.tolist()
-            for qid in query_ids:
-                slot = qid - base
-                if not 0 <= slot < size or not remaining[slot]:
-                    raise SimulationError(
-                        "message for unknown query in compact run"
-                    )
-                left = int(remaining[slot]) - 1
-                remaining[slot] = left
-                if not left:
-                    done_list.append(qid)
-            if not done_list:
-                return []
-            self._bank_in_flight -= len(done_list)
-            self.completed_count += len(done_list)
-            arrivals = self._bank_arrivals
-            return [
-                QueryCompletion(
-                    query_id=qid,
-                    arrival_s=float(arrivals[qid - base]),
-                    completion_s=now_s,
-                )
-                for qid in done_list
-            ]
-        query_ids = np.asarray(query_ids, dtype=np.int64)
-        reverse = query_ids[::-1]
-        unique, rev_index, counts = np.unique(
-            reverse, return_index=True, return_counts=True
-        )
-        index = unique - base
         remaining = self._bank_remaining
-        if int(index[0]) < 0 or int(index[-1]) >= remaining.size:
-            raise SimulationError("message for unknown query in compact run")
-        left = remaining[index] - counts.astype(np.int32)
-        if left.min() < 0:
-            raise SimulationError("message for unknown query in compact run")
-        remaining[index] = left
-        done = left == 0
-        finished = int(np.count_nonzero(done))
-        if not finished:
+        size = remaining.size
+        done: list[int] = []
+        for qid in query_ids:
+            slot = qid - base
+            if not 0 <= slot < size or not remaining[slot]:
+                raise SimulationError("message for unknown query in compact run")
+            left = int(remaining[slot]) - 1
+            remaining[slot] = left
+            if not left:
+                done.append(qid)
+        if not done:
             return []
-        # Last occurrence in drain order = first occurrence in reverse.
-        last_position = query_ids.size - 1 - rev_index[done]
-        order = np.argsort(last_position)
-        done_ids = unique[done][order]
-        self._bank_in_flight -= finished
-        self.completed_count += finished
+        self._bank_in_flight -= len(done)
+        self.completed_count += len(done)
         arrivals = self._bank_arrivals
         return [
             QueryCompletion(
-                query_id=int(qid),
+                query_id=qid,
                 arrival_s=float(arrivals[qid - base]),
                 completion_s=now_s,
             )
-            for qid in done_ids
+            for qid in done
         ]
 
     def on_message_done(

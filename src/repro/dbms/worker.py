@@ -23,11 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import MessagingError
-from repro.dbms.intra_socket import (
-    DEFAULT_BATCH_SIZE,
-    SMALL_RUN,
-    IntraSocketHub,
-)
+from repro.dbms.intra_socket import DEFAULT_BATCH_SIZE, IntraSocketHub
 from repro.dbms.messages import Message, MessageKind
 from repro.storage.partition import PartitionMap
 
@@ -43,10 +39,10 @@ class CompletedRun:
     """A drained run of compact (modeled, untagged) messages.
 
     The vectorized worker returns these inside its completion list in
-    place of per-message objects: one run covers ``len(query_ids)``
-    consecutively drained messages of one partition (a list for small
-    runs, an id-column array otherwise).  The engine settles them
-    against the query tracker in one call per run.
+    place of per-message objects: one run covers the ``len(query_ids)``
+    consecutively drained messages of one partition (a list of query
+    ids).  The engine settles them against the query tracker in one call
+    per run.
     """
 
     __slots__ = ("partition_id", "query_ids")
@@ -233,23 +229,17 @@ class Worker:
         partitions: PartitionMap,
         budget_instructions: float,
     ) -> tuple[float, list]:
-        """Vectorized quantum over a SoA hub.
+        """The per-message loop of :meth:`process_quantum` over a SoA hub.
 
-        Replays the scalar per-message loop exactly, but drains each
-        compact run with one ``np.subtract.accumulate`` budget cut
-        instead of a Python loop.  With ``d`` the running-budget chain
-        over the run's costs (``d[0]`` = budget before the run), message
-        ``i`` is consumed plainly iff ``d[i] > 0 and d[i+1] >= 0``; the
-        first violation ``k`` lands in one of three scalar cases:
-
-        * ``d[k] == 0`` — the budget died exactly at ``k``: consume the
-          ``k`` head messages, the quantum ends without a requeue;
-        * overflow with prior progress — consume ``k``, round-trip the
-          next message (dequeue + requeue, float folds included), flag
-          ``out_of_budget``;
-        * overflow on a fresh quantum (``k == 0``, nothing consumed yet)
-          — overdraw: charge the head message anyway, mirroring how a
-          real worker cannot preempt an operator mid-flight.
+        A compact run at the queue head is walked cost by cost, reading
+        only the costs the budget reaches, until the run ends, the budget
+        dies (no requeue), or a message does not fit.  A message that
+        does not fit round-trips (dequeued and requeued, float folds
+        included) and ends the quantum once anything was consumed; on a
+        fresh quantum it is charged anyway (overdraw), mirroring how a
+        real worker cannot preempt an operator mid-flight.  The consumed
+        prefix leaves the hub in one :meth:`~IntraSocketHub.consume_modeled`
+        call.
 
         The completion list interleaves :class:`CompletedRun` entries
         (compact runs) with plain :class:`Message` objects from the
@@ -273,77 +263,18 @@ class Worker:
                 while remaining > 0:
                     run = hub.modeled_run(partition_id)
                     if run:
-                        if run <= SMALL_RUN:
-                            # Tiny runs: numpy's fixed per-call overhead
-                            # dwarfs the work, so replay the identical
-                            # left folds as plain chained arithmetic.
-                            costs, run_b = hub.run_rows(partition_id, run)
-                            rem = remaining
-                            k = 0
-                            while k < run:
-                                nxt = rem - costs[k]
-                                if rem > 0.0 and nxt >= 0.0:
-                                    rem = nxt
-                                    k += 1
-                                    continue
-                                break
-                            if k == run or rem <= 0.0:
-                                round_trip = False
-                            elif count or k:
+                        instr, nbytes, head = hub.head_columns(partition_id)
+                        k = 0
+                        round_trip = False
+                        while k < run and remaining > 0:
+                            cost = instr.item(head + k)
+                            if cost > remaining and (count or k):
                                 round_trip = True
-                            else:
-                                k = 1  # overdraw a fresh quantum
-                                rem = remaining - costs[0]
-                                round_trip = False
-                            if k:
-                                for i in range(k):
-                                    instructions += costs[i]
-                                    bytes_accessed += run_b[i]
-                                remaining = rem
-                            query_ids = hub.consume_modeled(
-                                worker_id, partition_id, k, round_trip
-                            )
-                            if k:
-                                count += k
-                                completed.append(
-                                    CompletedRun(partition_id, query_ids)
-                                )
-                            if round_trip:
-                                out_of_budget = True
                                 break
-                            continue
-                        c = hub.run_instructions(partition_id, run)
-                        d = np.subtract.accumulate(
-                            np.concatenate(((remaining,), c))
-                        )
-                        ok = (d[:-1] > 0.0) & (d[1:] >= 0.0)
-                        if ok.all():
-                            k = run
-                            round_trip = False
-                        else:
-                            k = int(np.argmin(ok))
-                            if d[k] <= 0.0:
-                                round_trip = False
-                            elif count or k:
-                                round_trip = True
-                            else:
-                                k = 1  # overdraw a fresh quantum
-                                round_trip = False
-                        if k:
-                            b = hub.run_bytes(partition_id, run)
-                            # Stats and budget replay the scalar chained
-                            # adds as strict left folds.
-                            instructions = float(
-                                np.add.accumulate(
-                                    np.concatenate(((instructions,), c[:k]))
-                                )[-1]
-                            )
-                            bytes_accessed = float(
-                                np.add.accumulate(
-                                    np.concatenate(((bytes_accessed,), b[:k]))
-                                )[-1]
-                            )
-                            remaining = float(d[k])
+                            instructions += cost
+                            bytes_accessed += nbytes.item(head + k)
+                            remaining -= cost
+                            k += 1
                         query_ids = hub.consume_modeled(
                             worker_id, partition_id, k, round_trip
                         )

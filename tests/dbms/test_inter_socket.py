@@ -130,6 +130,42 @@ class TestRehoming:
             r.buffered_from(7)
 
 
+def _vector_router():
+    hubs = {
+        0: IntraSocketHub(0, [0, 2], vectorized=True),
+        1: IntraSocketHub(1, [1, 3], vectorized=True),
+    }
+    return InterSocketRouter(hubs), hubs
+
+
+#: One block routed from socket 0 as (targets, instructions, bytes, query
+#: ids): locals for partitions 0 and 2, and remotes for partitions 1 and 3
+#: of socket 1, interleaved.
+BLOCK = (
+    [1, 3, 0, 1, 3, 0, 3, 2, 1],
+    [10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0],
+    [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0],
+    [100, 101, 102, 103, 104, 105, 106, 107, 108],
+)
+
+
+def _move_partition_3(r, hubs):
+    """Rehome partition 3 to socket 0 while its rows are in flight."""
+    hubs[0].adopt_partition(3)
+    r.rehome_partition(3, 0)
+
+
+def _drain(hub, partition_id):
+    """(query id, instructions, bytes) of a partition's queue, in order."""
+    assert hub.acquire_specific(99, partition_id)
+    batch = hub.dequeue_batch(99, partition_id, batch_size=100)
+    hub.release_partition(99, partition_id)
+    return [
+        (m.query_id, m.cost.instructions, m.cost.bytes_accessed)
+        for m in batch
+    ]
+
+
 class TestForwarding:
     def test_in_flight_message_follows_the_partition(self, router):
         # Buffer toward the old home, migrate, then flush: the message is
@@ -147,6 +183,46 @@ class TestForwarding:
         assert second.forwarded == 0
         assert second.messages_moved == 1
         assert hubs[1].pending_messages == 1  # delivered on the new home
+
+    def test_bank_chunk_splits_when_a_target_moved(self):
+        r, hubs = _vector_router()
+        r.route_bank([0] * len(BLOCK[0]), *BLOCK)
+        assert r.buffered_count(0, 1) == 6
+        _move_partition_3(r, hubs)
+        stats = r.flush()
+        assert stats.messages_moved == 6
+        assert stats.forwarded == 3
+        assert r.total_forwarded == 3
+        assert r.total_buffered == 3  # partition 3's rows, one hop behind
+        assert hubs[1].queue_depth(1) == 3
+        assert hubs[0].queue_depth(3) == 0
+        second = r.flush()
+        assert second.messages_moved == 3
+        assert second.forwarded == 0
+        assert hubs[0].queue_depth(3) == 3
+        # Both halves keep block order, as do the local deliveries.
+        assert [row[0] for row in _drain(hubs[1], 1)] == [100, 103, 108]
+        assert [row[0] for row in _drain(hubs[0], 3)] == [101, 104, 106]
+        assert [row[0] for row in _drain(hubs[0], 0)] == [102, 105]
+
+    def test_bank_chunk_split_matches_routing_one_by_one(self):
+        banked, banked_hubs = _vector_router()
+        banked.route_bank([0] * len(BLOCK[0]), *BLOCK)
+        single, single_hubs = _vector_router()
+        for pid, instr, nbytes, qid in zip(*BLOCK):
+            message = Message(
+                query_id=qid, target_partition=pid, cost=WorkCost(instr, nbytes)
+            )
+            single.route(0, message)
+        _move_partition_3(banked, banked_hubs)
+        _move_partition_3(single, single_hubs)
+        assert banked.flush() == single.flush()
+        assert banked.flush() == single.flush()
+        for sid, pids in ((0, [0, 2, 3]), (1, [1, 3])):
+            for pid in pids:
+                assert _drain(banked_hubs[sid], pid) == _drain(
+                    single_hubs[sid], pid
+                )
 
 
 class TestTransferPartition:

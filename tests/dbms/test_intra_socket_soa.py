@@ -8,25 +8,23 @@ in flight, and arbitrary acquire→drain→release sequences (the hypothesis
 conservation property at the end).
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dbms.intra_socket import IntraSocketHub
-from repro.dbms.messages import Message, MessageKind, WorkCost
+from repro.dbms.messages import Message, WorkCost
 from repro.dbms.worker import CompletedRun, Worker
+from repro.errors import MessagingError
 
 
 def _bank(hub, targets, costs, first_qid=0):
     """Enqueue one compact bank (fan-out 1 per message) onto ``hub``."""
-    targets = np.asarray(targets, dtype=np.int64)
-    costs = np.asarray(costs, dtype=np.float64)
     hub.enqueue_bank(
-        targets,
-        costs,
-        np.zeros_like(costs),
-        np.arange(first_qid, first_qid + targets.size, dtype=np.int64),
+        list(targets),
+        [float(cost) for cost in costs],
+        [0.0] * len(costs),
+        list(range(first_qid, first_qid + len(targets))),
     )
 
 
@@ -78,6 +76,29 @@ class TestFrozenPartitionEnqueueWhileQuiesced:
         assert hub.pending_messages == 0
         assert hub.pending_cost_instructions() == 0.0
         assert 1 not in hub.partition_ids
+
+
+class TestBankRejection:
+    def test_unknown_partition_leaves_the_hub_unchanged(self):
+        hub = IntraSocketHub(0, [1, 2], vectorized=True)
+        version = hub.tag_version
+        # The first two entries are valid; the third is homed elsewhere.
+        with pytest.raises(MessagingError):
+            _bank(hub, [1, 1, 7], [10.0, 20.0, 30.0])
+        assert hub.queue_depth(1) == 0
+        assert hub.queue_depth(2) == 0
+        assert hub.pending_messages == 0
+        assert hub.pending_cost_instructions() == 0.0
+        assert hub.pending_by_characteristics() == []
+        assert hub.tag_version == version
+        assert hub.acquire_partition(worker_id=1) is None
+        # A valid bank afterwards drains alone, in arrival order.
+        _bank(hub, [1, 1], [10.0, 20.0], first_qid=5)
+        worker = Worker(worker_id=1, socket_id=0, hw_thread_id=0)
+        used, completed = worker.process_quantum(hub, None, 100.0)
+        assert used == 30.0
+        assert _drain_qids(completed) == [5, 6]
+        assert hub.pending_messages == 0
 
 
 class TestAdoptedPartitionTieBreak:

@@ -19,10 +19,17 @@ from repro.sim import RunConfiguration, SimulationRunner, registered_policies
 from repro.workloads import KeyValueWorkload, WorkloadVariant
 
 
-def _run(policy, *, vector, poisson=False, macro=True, cluster=None):
+#: A growing backlog: baseline at 1.5x load drains compact head runs of
+#: up to 116 messages, far longer than any the spike inputs drain.
+SATURATING = constant_profile(1.5, duration_s=3.0)
+
+
+def _runner(
+    policy, *, vector, poisson=False, macro=True, cluster=None, profile=None
+):
     config = RunConfiguration(
         workload=KeyValueWorkload(WorkloadVariant.NON_INDEXED),
-        profile=spike_profile(duration_s=3.0),
+        profile=profile or spike_profile(duration_s=3.0),
         policy=policy,
         seed=5,
         macro_step=macro,
@@ -30,9 +37,27 @@ def _run(policy, *, vector, poisson=False, macro=True, cluster=None):
         cluster=cluster,
         engine_config=EngineConfig(vector_messages=vector),
     )
-    runner = SimulationRunner(config)
+    return SimulationRunner(config)
+
+
+def _run(policy, **kwargs):
+    runner = _runner(policy, **kwargs)
     result = runner.run()
     return result, runner
+
+
+def _record_head_runs(runner):
+    """Collect the compact head-run lengths the workers find, as a list."""
+    runs = []
+    for hub in runner.engine.hubs.values():
+
+        def modeled_run(partition_id, _inner=hub.modeled_run):
+            run = _inner(partition_id)
+            runs.append(run)
+            return run
+
+        hub.modeled_run = modeled_run
+    return runs
 
 
 def _assert_identical(vec, obj):
@@ -77,11 +102,22 @@ class TestEveryPolicyBothArrivalModes:
 
 
 class TestPerTickModeAndClusters:
-    @pytest.mark.parametrize("policy", ["baseline", "ecl"])
-    def test_identity_without_macro_stepping(self, policy):
-        vec, _ = _run(policy, vector=True, macro=False)
-        obj, _ = _run(policy, vector=False, macro=False)
+    @pytest.mark.parametrize(
+        "policy, profile, longest_run",
+        [
+            pytest.param("baseline", None, 1, id="baseline"),
+            pytest.param("ecl", None, 1, id="ecl"),
+            pytest.param("baseline", SATURATING, 33, id="baseline-saturating"),
+        ],
+    )
+    def test_identity_without_macro_stepping(self, policy, profile, longest_run):
+        runner = _runner(policy, vector=True, macro=False, profile=profile)
+        runs = _record_head_runs(runner)
+        vec = runner.run()
+        obj, _ = _run(policy, vector=False, macro=False, profile=profile)
         _assert_identical(vec, obj)
+        # The vector run drained compact runs at least this long.
+        assert max(runs) >= longest_run
 
     @pytest.mark.parametrize(
         "cluster_factory", [homogeneous_cluster, mixed_cluster]
