@@ -28,7 +28,7 @@ from repro.errors import ControlError
 from repro.dbms.engine import DatabaseEngine
 from repro.hardware.perfmodel import WorkloadCharacteristics
 from repro.profiles.configuration import Configuration
-from repro.profiles.evaluate import measure_configuration
+from repro.profiles.evaluate import warm_start_profiles
 from repro.profiles.generator import ConfigurationGenerator, GeneratorParameters
 from repro.profiles.profile import EnergyProfile
 from repro.sim.metrics import SampleAnnotations
@@ -178,30 +178,26 @@ class EnergyControlLoop:
     ) -> None:
         """Fill every profile from the analytical models (fast start).
 
+        Sockets of one evaluation class share their measurements (see
+        :func:`~repro.profiles.evaluate.warm_start_profiles`).
+
         Raises:
-            ControlError: when neither characteristics source is given.
+            ControlError: when neither characteristics source is given,
+                or ``chars_by_socket`` misses sockets; no profile is
+                touched then.
         """
-        if chars is None and chars_by_socket is None:
-            raise ControlError(
-                "warm start needs chars= or chars_by_socket="
-            )
-        for sid, profile in self.profiles.items():
-            socket_chars = (
-                chars_by_socket[sid] if chars_by_socket is not None else chars
-            )
-            assert socket_chars is not None
-            for configuration in profile.configurations():
-                measurement = measure_configuration(
-                    self.machine, configuration, socket_chars
+        if chars_by_socket is None:
+            if chars is None:
+                raise ControlError(
+                    "warm start needs chars= or chars_by_socket="
                 )
-                profile.record(configuration, measurement)
-            os_idle = measure_configuration(
-                self.machine,
-                profile.idle_configuration,
-                socket_chars,
-                assume_machine_idle_for_idle=False,
+            chars_by_socket = dict.fromkeys(self.profiles, chars)
+        missing = sorted(set(self.profiles) - set(chars_by_socket))
+        if missing:
+            raise ControlError(
+                f"chars_by_socket has no characteristics for sockets {missing}"
             )
-            profile.os_idle_power_w = os_idle.power_w
+        warm_start_profiles(self.machine, self.profiles, chars_by_socket)
         self.apply_baseline()
 
     # -- main loop -----------------------------------------------------------------

@@ -688,14 +688,15 @@ class Machine:
         active_cores = tuple(self._active_cores(sid))
         uncore_ghz, uncore_halted = self.resolve_uncore(sid)
 
+        params = self._socket_params[sid]
         perf = self.perf_model.resolve(active_cores, uncore_ghz, load)
         parallel = self.perf_model.parallel_throughput_ips(
-            active_cores, uncore_ghz, chars
+            active_cores, uncore_ghz, chars, params
         )
         socket_scale = 0.0 if parallel <= 0 else perf.executed_ips / parallel
 
         compute_shares = tuple(
-            self.perf_model.core_compute_share(core, uncore_ghz, chars)
+            self.perf_model.core_compute_share(core, uncore_ghz, chars, params)
             for core in active_cores
         )
         core_states = [

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.errors import ConfigurationError
+from repro.hardware.frequency import FrequencyLadder
 from repro.hardware.machine import Machine
 
 
@@ -102,30 +103,40 @@ class Configuration:
             ConfigurationError: on foreign threads, unknown cores, invalid
                 P-states, or threads on cores without a frequency.
         """
-        topology = machine.topology
-        socket = topology.socket(self.socket_id)
-        own = set(socket.thread_ids())
-        foreign = set(self.active_threads) - own
-        if foreign:
+        self.validate(SocketRules.of(machine, self.socket_id))
+
+    def validate(self, rules: "SocketRules") -> None:
+        """Check the configuration against its socket's rules.
+
+        Raises:
+            ConfigurationError: on another socket's rules, foreign
+                threads, unknown cores, invalid P-states, or threads on
+                cores without a frequency.
+        """
+        if rules.socket_id != self.socket_id:
             raise ConfigurationError(
-                f"threads {sorted(foreign)} not on socket {self.socket_id}"
+                f"configuration of socket {self.socket_id} checked against "
+                f"socket {rules.socket_id}"
             )
-        machine.frequency.uncore_ladder_for(self.socket_id).validate(
-            self.uncore_ghz
-        )
+        core_of = rules.core_of_thread
+        if not core_of.keys() >= self.active_threads:
+            foreign = sorted(t for t in self.active_threads if t not in core_of)
+            raise ConfigurationError(
+                f"threads {foreign} not on socket {self.socket_id}"
+            )
+        rules.uncore_ladder.validate(self.uncore_ghz)
         freq_map = dict(self.core_frequencies)
-        core_ladder = machine.frequency.core_ladder_for(self.socket_id)
-        for core_id, freq in freq_map.items():
-            if not 0 <= core_id < socket.core_count:
+        for core_id in freq_map:
+            if not 0 <= core_id < rules.core_count:
                 raise ConfigurationError(
                     f"unknown core {core_id} on socket {self.socket_id}"
                 )
-            core_ladder.validate(freq)
+        for freq in set(freq_map.values()):
+            rules.core_ladder.validate(freq)
         for tid in self.active_threads:
-            core = topology.core_of(tid)
-            if core.core_id not in freq_map:
+            if core_of[tid] not in freq_map:
                 raise ConfigurationError(
-                    f"thread {tid} active but core {core.core_id} has no frequency"
+                    f"thread {tid} active but core {core_of[tid]} has no frequency"
                 )
 
     def apply(self, machine: Machine) -> None:
@@ -162,6 +173,46 @@ class Configuration:
         return (
             f"{self.thread_count}t@{self.average_core_ghz:.1f}GHz/"
             f"u{self.uncore_ghz:.1f}GHz"
+        )
+
+
+@dataclass(frozen=True)
+class SocketRules:
+    """What every configuration of one socket is validated against.
+
+    Built once per socket with :meth:`of`, so validating a whole profile
+    looks the socket's threads and clock ladders up once, not once per
+    configuration.
+
+    Attributes:
+        socket_id: the socket.
+        core_of_thread: socket-local core id of each of the socket's own
+            hardware threads, keyed by global thread id.
+        core_count: physical cores on the socket.
+        core_ladder: the socket's core P-states.
+        uncore_ladder: the socket's uncore P-states.
+    """
+
+    socket_id: int
+    core_of_thread: Mapping[int, int]
+    core_count: int
+    core_ladder: FrequencyLadder
+    uncore_ladder: FrequencyLadder
+
+    @staticmethod
+    def of(machine: Machine, socket_id: int) -> "SocketRules":
+        """The rules of one socket of ``machine``."""
+        socket = machine.topology.socket(socket_id)
+        return SocketRules(
+            socket_id=socket_id,
+            core_of_thread={
+                thread.global_id: core.core_id
+                for core in socket.cores
+                for thread in core.threads
+            },
+            core_count=socket.core_count,
+            core_ladder=machine.frequency.core_ladder_for(socket_id),
+            uncore_ladder=machine.frequency.uncore_ladder_for(socket_id),
         )
 
 

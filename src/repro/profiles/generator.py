@@ -153,8 +153,19 @@ class ConfigurationGenerator:
     # -- generation ----------------------------------------------------------------
 
     def count_for_group(self, group_threads: int) -> int:
-        """Non-idle configuration count for a group size."""
-        return len(self._generate_for_group(group_threads)) - 1
+        """Non-idle configuration count for a group size.
+
+        Counts what :meth:`_generate_for_group` would build, prefix by
+        prefix, without building it.
+        """
+        core_freqs = len(self.core_frequency_subset())
+        mixed = core_freqs - 1 if self.generator_params.f_core_mixed else 0
+        cores: set[int] = set()
+        per_uncore = 0
+        for unit in self.activation_units(group_threads):
+            cores.update(self.topology.core_of(tid).core_id for tid in unit)
+            per_uncore += core_freqs + (mixed if len(cores) > 1 else 0)
+        return per_uncore * len(self.uncore_frequency_subset())
 
     def selected_group_size(self) -> int:
         """Smallest group size whose configuration count fits ``c_max``."""
@@ -177,19 +188,21 @@ class ConfigurationGenerator:
         configs: list[Configuration] = [
             Configuration.idle(self.socket_id, min_uncore)
         ]
-        for prefix_len in range(1, len(units) + 1):
-            threads: set[int] = set()
-            for unit in units[:prefix_len]:
-                threads.update(unit)
-            active_cores = sorted(
-                {self.topology.core_of(tid).core_id for tid in threads}
-            )
+        threads: set[int] = set()
+        cores: set[int] = set()
+        for unit in units:
+            # Every prefix of the activation order: its configurations
+            # share one thread set.
+            threads.update(unit)
+            cores.update(self.topology.core_of(tid).core_id for tid in unit)
+            active_threads = frozenset(threads)
+            active_cores = sorted(cores)
             for uncore in uncore_freqs:
                 for freq in core_freqs:
                     configs.append(
                         Configuration.build(
                             self.socket_id,
-                            threads,
+                            active_threads,
                             {cid: freq for cid in active_cores},
                             uncore,
                         )
@@ -203,7 +216,7 @@ class ConfigurationGenerator:
                         }
                         configs.append(
                             Configuration.build(
-                                self.socket_id, threads, mapping, uncore
+                                self.socket_id, active_threads, mapping, uncore
                             )
                         )
         return configs

@@ -51,6 +51,16 @@ class TestWarmStart:
         with pytest.raises(ControlError):
             ecl.warm_start_from_model()
 
+    def test_rejects_a_map_missing_sockets(self, system):
+        machine, _, ecl = system
+        machine.cstates.set_active_threads(set())
+        with pytest.raises(ControlError, match=r"sockets \[1\]"):
+            ecl.warm_start_from_model(chars_by_socket={0: COMPUTE_BOUND})
+        for profile in ecl.profiles.values():
+            assert profile.coverage() == 0.0
+            assert profile.os_idle_power_w is None
+        assert not machine.cstates.active_threads
+
     def test_applies_baseline(self, system):
         machine, _, ecl = system
         machine.cstates.set_active_threads(set())

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.errors import ProfileError
+from repro.hardware.presets import get_preset
+from repro.hardware.topology import Topology
 from repro.profiles.generator import ConfigurationGenerator, GeneratorParameters
 
 
@@ -65,6 +67,26 @@ class TestPaperCounts:
         )
         assert g.selected_group_size() == 1
         assert len(g.generate()) == 289
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["uniform", "mixed"])
+    @pytest.mark.parametrize("f_uncore", [1, 3, 5])
+    @pytest.mark.parametrize("f_core", [1, 2, 4, 7])
+    @pytest.mark.parametrize("preset", ["haswell_ep", "wimpy_node"])
+    def test_count_matches_the_generated_set(self, preset, f_core, f_uncore, mixed):
+        params = get_preset(preset)
+        topology = Topology.build(
+            params.socket_count, params.cores_per_socket, params.threads_per_core
+        )
+        g = ConfigurationGenerator(
+            topology,
+            params,
+            0,
+            GeneratorParameters(
+                f_core=f_core, f_uncore=f_uncore, f_core_mixed=mixed
+            ),
+        )
+        for group in g._group_ladder():
+            assert g.count_for_group(group) == len(g._generate_for_group(group)) - 1
 
     def test_mixed_adds_configurations(self, machine):
         base = ConfigurationGenerator(
