@@ -28,7 +28,7 @@ from repro.environment import make_environment
 from repro.hardware.cluster import homogeneous_cluster
 from repro.loadprofiles import sine_profile, twitter_day_profile
 from repro.sim import RunConfiguration, SimulationRunner, registered_policies
-from repro.telemetry import PhaseTimingObserver, TraceRecorder
+from repro.telemetry import TraceRecorder
 from repro.workloads import KeyValueWorkload, SsbWorkload, WorkloadVariant
 
 from _shared import heading
@@ -178,12 +178,12 @@ def test_tick_throughput(run_once):
 
 def test_telemetry_overhead(run_once):
     """Telemetry must be pay-for-use: with no observers attached the
-    tick rate stays above the floor, and full tracing (event recorder +
-    phase timer) costs at most half the throughput."""
+    tick rate stays above the floor, and event tracing costs at most
+    half the throughput."""
     rates = run_once(
         lambda: {
             "off": _measure("ecl"),
-            "on": _measure("ecl", [TraceRecorder(), PhaseTimingObserver()]),
+            "on": _measure("ecl", [TraceRecorder()]),
         }
     )
 

@@ -5,7 +5,7 @@ Examples::
     python -m repro run --workload kv-non-indexed --profile spike
     python -m repro run --workload tatp-indexed --profile twitter \\
         --policy baseline --duration 60
-    python -m repro run --profile spike --trace trace.jsonl --timings
+    python -m repro run --profile spike --trace trace.jsonl
     python -m repro compare --workload kv-non-indexed --profile spike
     python -m repro report --trace trace.jsonl
     python -m repro report --cache-dir .repro_cache --format csv
@@ -57,7 +57,6 @@ from repro.sim import (
 )
 from repro.sim.metrics import RunResult, energy_saving_fraction
 from repro.telemetry import (
-    PhaseTimingObserver,
     TraceRecorder,
     cached_results,
     read_trace,
@@ -279,8 +278,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         environment=make_environment_from_args(args, profile.duration_s),
     )
     tracer = TraceRecorder() if args.trace else None
-    timer = PhaseTimingObserver() if args.timings else None
-    observers = [obs for obs in (tracer, timer) if obs is not None]
+    observers = [tracer] if tracer is not None else []
     if args.profile_out:
         profiler = cProfile.Profile()
         runner = SimulationRunner(config, observers=observers)
@@ -303,9 +301,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         dropped = f" ({tracer.dropped_events} dropped)" if tracer.dropped_events else ""
         print(f"trace             : {count} events{dropped} -> {args.trace}",
               file=sys.stderr)
-    if timer is not None:
-        print()
-        print(timer.timings.table())
     return 0
 
 
@@ -520,9 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="record a structured event trace (arrivals, "
                             "reconfigurations, completions, samples) to "
                             "this JSONL file")
-    run_p.add_argument("--timings", action="store_true",
-                       help="print wall-time attribution across the five "
-                            "pipeline phases")
     run_p.add_argument("--profile-out", metavar="PATH",
                        help="profile the tick loop with cProfile and write "
                             "the pstats dump to PATH")

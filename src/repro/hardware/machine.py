@@ -92,49 +92,6 @@ class StepResult:
 
 
 @dataclass(frozen=True)
-class _ConfigEntry:
-    """Cached hardware view of one socket (configuration-dependent only)."""
-
-    active_cores: tuple[ActiveCore, ...]
-    uncore_ghz: float
-    uncore_halted: bool
-    c1_states: tuple[CorePowerState, ...]
-
-
-@dataclass(frozen=True)
-class _CapacityEntry:
-    """Cached demand-independent performance resolution of one socket."""
-
-    capacity_ips: float
-    parallel_ips: float
-    bandwidth_limited: bool
-    contention_limited: bool
-    compute_shares: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class _FullEntry:
-    """Cached full (performance, power) resolution of one socket."""
-
-    performance: SocketPerformance
-    power: PowerBreakdown
-
-
-def _lru_get(cache: OrderedDict, key):
-    entry = cache.get(key)
-    if entry is not None:
-        cache.move_to_end(key)
-    return entry
-
-
-def _lru_put(cache: OrderedDict, key, value, maxsize: int) -> None:
-    cache[key] = value
-    cache.move_to_end(key)
-    while len(cache) > maxsize:
-        cache.popitem(last=False)
-
-
-@dataclass(frozen=True)
 class MachineState:
     """Introspection snapshot of the machine's control state."""
 
@@ -325,7 +282,7 @@ class Machine:
         #: so equality implies the content fingerprints are unchanged —
         #: a hit skips fingerprinting and LRU hashing entirely and
         #: returns the very same (performance, power) objects the LRU
-        #: layers would.  Disabled with the LRUs by ``step_cache_size``.
+        #: would.  Disabled with the LRU by ``step_cache_size``.
         self._resolve_fast: list[tuple | None] = [None] * socket_count
         #: Thermal fast path: True when the last thermal update was a
         #: fixpoint (credit and throttle flags reproduced themselves), so
@@ -348,13 +305,13 @@ class Machine:
         #: inputs of a socket's per-step resolution are piecewise-constant
         #: — the ECL holds one configuration between decision intervals —
         #: so the (configuration, workload, demand) → (performance, power)
-        #: mapping is cached in LRU dictionaries.  ``step_cache_size <= 0``
+        #: mapping is cached in one LRU dictionary.  ``step_cache_size <= 0``
         #: disables memoization entirely (the exact uncached path).
         self._step_cache_size = step_cache_size
-        self._config_cache: OrderedDict = OrderedDict()
-        self._capacity_cache: OrderedDict = OrderedDict()
-        self._full_cache: OrderedDict = OrderedDict()
+        self._step_cache: OrderedDict = OrderedDict()
         #: Hit/miss counters for tests and performance introspection.
+        #: ``capacity_hits`` always reads 0; the key stays because the
+        #: perfbench tracer reports it.
         self.step_cache_stats: dict[str, int] = {
             "full_hits": 0,
             "capacity_hits": 0,
@@ -682,10 +639,10 @@ class Machine:
 
     def _compute_socket(
         self, sid: int, load: SocketLoad
-    ) -> tuple[SocketPerformance, PowerBreakdown, _ConfigEntry, _CapacityEntry]:
+    ) -> tuple[SocketPerformance, PowerBreakdown, float, bool]:
         """Exact (uncached) per-socket step resolution."""
         chars = load.characteristics
-        active_cores = tuple(self._active_cores(sid))
+        active_cores = self._active_cores(sid)
         uncore_ghz, uncore_halted = self.resolve_uncore(sid)
 
         params = self._socket_params[sid]
@@ -695,34 +652,30 @@ class Machine:
         )
         socket_scale = 0.0 if parallel <= 0 else perf.executed_ips / parallel
 
-        compute_shares = tuple(
-            self.perf_model.core_compute_share(core, uncore_ghz, chars, params)
-            for core in active_cores
-        )
         core_states = [
             CorePowerState(
                 frequency_ghz=core.frequency_ghz,
                 active_sibling_count=core.sibling_count,
-                activity=self.perf_model.activity_from_share(share, socket_scale),
+                activity=self.perf_model.core_activity(
+                    core, uncore_ghz, chars, socket_scale, params
+                ),
             )
-            for core, share in zip(active_cores, compute_shares)
+            for core in active_cores
         ]
         # Shallow-parked (C1) cores draw a residual.
-        c1_states = []
         for core in self.topology.socket(sid).cores:
             state = self.cstates.core_state(sid, core.core_id)
             if state is CState.C1:
                 freq = self.frequency.effective_core_frequency(
                     sid, core.core_id, self._time_s
                 )
-                c1_states.append(
+                core_states.append(
                     CorePowerState(
                         frequency_ghz=freq,
                         active_sibling_count=0,
                         shallow=True,
                     )
                 )
-        core_states.extend(c1_states)
 
         power = self.power_model.socket_power(
             socket_id=sid,
@@ -731,125 +684,47 @@ class Machine:
             uncore_halted=uncore_halted,
             traffic_gbs=perf.traffic_gbs,
         )
-        config = _ConfigEntry(
-            active_cores=active_cores,
-            uncore_ghz=uncore_ghz,
-            uncore_halted=uncore_halted,
-            c1_states=tuple(c1_states),
-        )
-        capacity = _CapacityEntry(
-            capacity_ips=perf.capacity_ips,
-            parallel_ips=parallel,
-            bandwidth_limited=perf.bandwidth_limited,
-            contention_limited=perf.contention_limited,
-            compute_shares=compute_shares,
-        )
-        return perf, power, config, capacity
+        return perf, power, uncore_ghz, uncore_halted
 
     def _resolve_socket(
         self, sid: int, load: SocketLoad
     ) -> tuple[SocketPerformance, PowerBreakdown, float, bool]:
-        """Resolve one socket's step via the memoization layers.
+        """Resolve one socket's step through the step-resolution LRU.
 
-        Three LRU levels, all bit-identical to the uncached path:
-
-        1. *config* — the hardware view (active cores with effective
-           clocks, uncore state) per hardware signature;
-        2. *capacity* — the demand-independent performance resolution per
-           (hardware signature, workload characteristics);
-        3. *full* — the complete (performance, power) pair per (hardware
-           signature, characteristics, demand signature).  Demands at or
-           above capacity all resolve to the same saturated result, so
-           they share one bucket; below capacity the key is the exact
-           demand, and a miss falls back to exact recomputation of the
-           demand-dependent tail.
+        The key is (socket, hardware signature, characteristics,
+        demand).  Demands at or above capacity all resolve to the same
+        saturated result, so they share the ``None`` bucket: a lookup
+        tries the exact demand, then that bucket, which answers any
+        demand at or above its entry's capacity.  Bit-identical to the
+        uncached path, which ``step_cache_size <= 0`` selects.
         """
         if self._step_cache_size <= 0:
-            perf, power, config, _ = self._compute_socket(sid, load)
-            return perf, power, config.uncore_ghz, config.uncore_halted
+            return self._compute_socket(sid, load)
 
-        hw_sig = self._hardware_signature(sid)
-        chars = load.characteristics
-        cap_key = (sid, hw_sig, chars)
-        capacity = _lru_get(self._capacity_cache, cap_key)
-        config = (
-            _lru_get(self._config_cache, (sid, hw_sig))
-            if capacity is not None
-            else None
-        )
-        if capacity is None or config is None:
-            self.step_cache_stats["misses"] += 1
-            perf, power, config, capacity = self._compute_socket(sid, load)
-            size = self._step_cache_size
-            _lru_put(self._config_cache, (sid, hw_sig), config, size)
-            _lru_put(self._capacity_cache, cap_key, capacity, size)
-            demand = load.demand_instructions_per_s
-            demand_key = (
-                None
-                if demand is None or demand >= capacity.capacity_ips
-                else demand
-            )
-            _lru_put(
-                self._full_cache,
-                (sid, hw_sig, chars, demand_key),
-                _FullEntry(performance=perf, power=power),
-                size,
-            )
-            return perf, power, config.uncore_ghz, config.uncore_halted
-
+        cache = self._step_cache
         demand = load.demand_instructions_per_s
-        # Saturated demands (>= capacity) all yield the executed == capacity
-        # resolution; they quantize onto one shared bucket (None).
-        demand_key = (
-            None if demand is None or demand >= capacity.capacity_ips else demand
-        )
-        full_key = (sid, hw_sig, chars, demand_key)
-        full = _lru_get(self._full_cache, full_key)
-        if full is not None:
+        key = (sid, self._hardware_signature(sid), load.characteristics, demand)
+        entry = cache.get(key)
+        if entry is None and demand is not None:
+            saturated_key = key[:3] + (None,)
+            entry = cache.get(saturated_key)
+            if entry is not None and demand >= entry[0].capacity_ips:
+                key = saturated_key
+            else:
+                entry = None
+        if entry is not None:
             self.step_cache_stats["full_hits"] += 1
-            return (
-                full.performance,
-                full.power,
-                config.uncore_ghz,
-                config.uncore_halted,
-            )
+            cache.move_to_end(key)
+            return entry
 
-        self.step_cache_stats["capacity_hits"] += 1
-        perf = self.perf_model.resolve_with_capacity(
-            capacity.capacity_ips,
-            capacity.parallel_ips,
-            capacity.bandwidth_limited,
-            capacity.contention_limited,
-            load,
-        )
-        socket_scale = (
-            0.0
-            if capacity.parallel_ips <= 0
-            else perf.executed_ips / capacity.parallel_ips
-        )
-        core_states = [
-            CorePowerState(
-                frequency_ghz=core.frequency_ghz,
-                active_sibling_count=core.sibling_count,
-                activity=self.perf_model.activity_from_share(share, socket_scale),
-            )
-            for core, share in zip(config.active_cores, capacity.compute_shares)
-        ]
-        core_states.extend(config.c1_states)
-        power = self.power_model.socket_power(
-            socket_id=sid,
-            core_states=core_states,
-            uncore_ghz=config.uncore_ghz,
-            uncore_halted=config.uncore_halted,
-            traffic_gbs=perf.traffic_gbs,
-        )
-        _lru_put(
-            self._full_cache,
-            full_key,
-            _FullEntry(performance=perf, power=power),
-            self._step_cache_size,
-        )
-        return perf, power, config.uncore_ghz, config.uncore_halted
+        self.step_cache_stats["misses"] += 1
+        entry = self._compute_socket(sid, load)
+        if demand is not None and demand >= entry[0].capacity_ips:
+            key = key[:3] + (None,)
+        cache[key] = entry
+        if len(cache) > self._step_cache_size:
+            cache.popitem(last=False)
+        return entry
 
     def step(self, dt_s: float) -> StepResult:
         """Advance the machine by ``dt_s`` seconds.

@@ -418,30 +418,6 @@ class PerformanceModel:
             retired_ips=retired,
         )
 
-    def core_compute_share(
-        self,
-        core: ActiveCore,
-        uncore_ghz: float,
-        chars: WorkloadCharacteristics,
-        params: HaswellEPParameters | None = None,
-    ) -> float:
-        """Demand-independent share of cycles a core spends computing.
-
-        Memory-latency stalls reduce the share; it only depends on the
-        configuration and the workload, so the machine's step-resolution
-        cache stores it per active core.
-        """
-        latency_cycles = chars.miss_rate * (
-            self.memory_latency_ns(uncore_ghz, params) * core.frequency_ghz
-        )
-        return chars.base_cpi / (chars.base_cpi + latency_cycles)
-
-    def activity_from_share(self, compute_share: float, socket_scale: float) -> float:
-        """Combine a cached compute share with the per-tick socket scale."""
-        return require_fraction(
-            min(1.0, max(0.0, socket_scale)) * compute_share, "activity"
-        )
-
     def core_activity(
         self,
         core: ActiveCore,
@@ -457,47 +433,12 @@ class PerformanceModel:
         demand) switch less and therefore draw less dynamic power.
         Memory-latency stalls additionally reduce activity.
         """
-        return self.activity_from_share(
-            self.core_compute_share(core, uncore_ghz, chars, params),
-            socket_scale,
+        latency_cycles = chars.miss_rate * (
+            self.memory_latency_ns(uncore_ghz, params) * core.frequency_ghz
         )
-
-    def resolve_with_capacity(
-        self,
-        capacity_ips: float,
-        parallel_ips: float,
-        bandwidth_limited: bool,
-        contention_limited: bool,
-        load: SocketLoad,
-    ) -> SocketPerformance:
-        """Demand-dependent tail of :meth:`resolve` from a cached capacity.
-
-        ``capacity_ips``/``parallel_ips`` and the limit flags are
-        demand-independent, so the machine caches them per configuration;
-        this replays the remaining arithmetic of :meth:`resolve` with the
-        exact same operations, making the cached path bit-identical to the
-        uncached one.
-        """
-        chars = load.characteristics
-        demand = load.demand_instructions_per_s
-        executed = capacity_ips if demand is None else min(demand, capacity_ips)
-        utilization = 0.0 if capacity_ips <= 0 else executed / capacity_ips
-        traffic = executed * chars.bytes_per_instr / 1e9
-        retired = executed
-        if (
-            chars.spinlock_retirement
-            and contention_limited
-            and executed >= capacity_ips * (1.0 - 1e-9)
-        ):
-            retired = max(executed, parallel_ips)
-        return SocketPerformance(
-            capacity_ips=capacity_ips,
-            executed_ips=executed,
-            traffic_gbs=traffic,
-            utilization=utilization,
-            bandwidth_limited=bandwidth_limited,
-            contention_limited=contention_limited,
-            retired_ips=retired,
+        compute_share = chars.base_cpi / (chars.base_cpi + latency_cycles)
+        return require_fraction(
+            min(1.0, max(0.0, socket_scale)) * compute_share, "activity"
         )
 
     def parallel_throughput_ips(

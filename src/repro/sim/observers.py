@@ -55,9 +55,6 @@ class RunObserver:
     def on_arrival(self, now_s: float, query: "Query") -> None:
         """Phase 1: one query was submitted to the engine."""
 
-    def after_arrivals(self, now_s: float, dt_s: float) -> None:
-        """Phase 1 exit — this tick's arrivals are all submitted."""
-
     def after_control(self, now_s: float, dt_s: float) -> None:
         """Phase 2 exit — the policy has reconfigured the hardware."""
 
@@ -68,9 +65,6 @@ class RunObserver:
         self, now_s: float, completion: "QueryCompletion"
     ) -> None:
         """Phase 4: one query finished during this tick."""
-
-    def after_completions(self, now_s: float) -> None:
-        """Phase 4 exit — every completion of this tick is accounted."""
 
     def end_tick(self, now_s: float, tick_result: "EngineTickResult") -> None:
         """Phase 5 — sampling/accounting point at the end of the tick."""
@@ -212,10 +206,6 @@ class ObserverList:
         for obs in self._observers:
             obs.on_arrival(now_s, query)
 
-    def after_arrivals(self, now_s: float, dt_s: float) -> None:
-        for obs in self._observers:
-            obs.after_arrivals(now_s, dt_s)
-
     def after_control(self, now_s: float, dt_s: float) -> None:
         for obs in self._observers:
             obs.after_control(now_s, dt_s)
@@ -229,10 +219,6 @@ class ObserverList:
     ) -> None:
         for obs in self._observers:
             obs.on_completion(now_s, completion)
-
-    def after_completions(self, now_s: float) -> None:
-        for obs in self._observers:
-            obs.after_completions(now_s)
 
     def end_tick(self, now_s: float, tick_result: "EngineTickResult") -> None:
         for obs in self._observers:

@@ -472,7 +472,6 @@ class SimulationRunner:
                 self.engine.submit(query)
                 result.queries_submitted += 1
                 observers.on_arrival(now_s, query)
-        observers.after_arrivals(now_s, dt_s)
 
     def _phase_control(
         self, now_s: float, dt_s: float, observers: ObserverList
@@ -501,7 +500,6 @@ class SimulationRunner:
             result.queries_completed += 1
             result.latencies_s.append(completion.latency_s)
             observers.on_completion(now_s, completion)
-        observers.after_completions(now_s)
 
     def _phase_sampling(
         self,

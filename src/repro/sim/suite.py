@@ -60,7 +60,10 @@ from repro.workloads.base import Workload
 #: v6: configurations gained ``environment`` and results carry
 #: carbon/cost accounting fields (default runs are unchanged, but the
 #: signature and result schemas are new).
-CACHE_VERSION = 6
+#: v7: the step resolution and the warm start use each socket's own
+#: parameter set, which changes results on heterogeneous fleets
+#: (homogeneous machines are unchanged).
+CACHE_VERSION = 7
 
 DEFAULT_CACHE_DIR = ".repro_cache"
 

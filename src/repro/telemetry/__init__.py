@@ -1,4 +1,4 @@
-"""Run observability: event tracing, phase profiling, metrics export.
+"""Run observability: event tracing and metrics export.
 
 The runner's phased tick pipeline (arrivals → control → engine step →
 completions → sampling) exposes observer hooks; this package puts
@@ -8,16 +8,16 @@ first-class instrumentation behind them:
   per-tick event stream (arrivals, policy reconfigurations with
   before/after hardware control state, completions, samples) with JSONL
   export;
-* :class:`~repro.telemetry.phases.PhaseTimingObserver` — wall-time
-  attribution across the five pipeline phases of one run;
 * :mod:`~repro.telemetry.export` — suite-level summary tables
   (CSV / markdown) over :class:`~repro.sim.metrics.RunResult` objects,
   cache-directory loading, and markdown reports rendered from a trace.
 
 Everything here is observation-only: attaching any of it must not change
 a single float of the simulation (the A/B goldens pin that).  The CLI
-front ends are ``repro run --trace PATH --timings`` and ``repro
-report``.
+front ends are ``repro run --trace PATH`` and ``repro report``.  Host
+time is measured elsewhere: per layer, with span stepping on, by
+``perfbench/run.py --trace 1``; per function by ``repro run
+--profile-out PATH`` (a cProfile dump).
 """
 
 from repro.telemetry.export import (
@@ -28,20 +28,12 @@ from repro.telemetry.export import (
     trace_samples_csv,
     write_summary_csv,
 )
-from repro.telemetry.phases import (
-    PIPELINE_PHASES,
-    PhaseTimingObserver,
-    PhaseTimings,
-)
 from repro.telemetry.trace import TraceRecorder, control_state, read_trace
 
 __all__ = [
     "TraceRecorder",
     "control_state",
     "read_trace",
-    "PIPELINE_PHASES",
-    "PhaseTimingObserver",
-    "PhaseTimings",
     "cached_results",
     "render_trace_report",
     "summary_csv",

@@ -104,3 +104,49 @@ def test_machine_steps_bit_identical():
                 a.sockets[sid].executed_instructions
                 == b.sockets[sid].executed_instructions
             )
+
+
+def _assert_same_step(a, b):
+    assert a.psu_power_w == b.psu_power_w
+    assert a.rapl_power_w == b.rapl_power_w
+    for sid in a.sockets:
+        assert a.sockets[sid] == b.sockets[sid]
+
+
+def test_saturated_demands_share_one_dictionary_entry():
+    """A return visit to a configuration under a new saturated demand is
+    answered by that configuration's saturated entry in the dictionary
+    (the reconfiguration invalidated the one-slot memo); a demand below
+    capacity is a miss.  Every step equals the exact machine's."""
+    cached = Machine(seed=5)
+    exact = Machine(seed=5, step_cache_size=0)
+    chars = KeyValueWorkload(WorkloadVariant.NON_INDEXED).characteristics
+    every = [t.global_id for t in cached.topology.iter_threads()]
+    few = [
+        tid
+        for sock in cached.topology.sockets
+        for tid in sock.first_sibling_ids()[:2]
+    ]
+    # (threads, demand, added (full_hits, fast_hits, misses)); each
+    # machine has two sockets.
+    visits = [
+        (every, None, (0, 0, 2)),
+        (few, None, (0, 0, 2)),
+        (every, 1e13, (2, 0, 0)),
+        (every, 1e8, (0, 0, 2)),
+        (few, 2e13, (2, 0, 0)),
+        (every, 5e12, (2, 0, 0)),
+    ]
+    stats = cached.step_cache_stats
+    for threads, demand, added in visits:
+        before = dict(stats)
+        for machine in (cached, exact):
+            machine.cstates.set_active_threads(threads)
+            _set_loads(machine, chars, demand)
+        _assert_same_step(cached.step(0.001), exact.step(0.001))
+        assert (
+            stats["full_hits"] - before["full_hits"],
+            stats["fast_hits"] - before["fast_hits"],
+            stats["misses"] - before["misses"],
+        ) == added, (threads is every, demand)
+    assert stats["capacity_hits"] == 0

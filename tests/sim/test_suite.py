@@ -54,6 +54,15 @@ class TestSignature:
         b = RunConfiguration(workload=kv(), profile=constant_profile(0.4))
         assert config_signature(a) != config_signature(b)
 
+    def test_changes_with_cache_version(self, monkeypatch):
+        import repro.sim.suite as suite_module
+
+        before = config_signature(short_config())
+        monkeypatch.setattr(
+            suite_module, "CACHE_VERSION", suite_module.CACHE_VERSION + 1
+        )
+        assert config_signature(short_config()) != before
+
 
 class TestDeriveSeed:
     def test_deterministic(self):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.loadprofiles import constant_profile
-from repro.sim import RunConfiguration, SimulationRunner, run_experiment
+from repro.sim import RunConfiguration, SimulationRunner
 from repro.telemetry import TraceRecorder, read_trace
 from repro.workloads import KeyValueWorkload, WorkloadVariant
 
@@ -99,11 +99,20 @@ class TestEventStream:
             TraceRecorder(capacity=0)
 
     def test_tracing_does_not_change_the_run(self):
-        plain = run_experiment(config(duration_s=1.5))
-        _, traced = run_with_tracer(duration_s=1.5)
+        plain_runner = SimulationRunner(config(duration_s=1.5))
+        plain = plain_runner.run()
+        traced_runner = SimulationRunner(
+            config(duration_s=1.5), observers=[TraceRecorder()]
+        )
+        traced = traced_runner.run()
         assert traced.total_energy_j == plain.total_energy_j
         assert traced.latencies_s == plain.latencies_s
         assert traced.samples == plain.samples
+        # The recorder is macro-aware: attaching it keeps span stepping on.
+        assert traced_runner.macro_ticks_skipped == (
+            plain_runner.macro_ticks_skipped
+        )
+        assert plain_runner.macro_ticks_skipped > 0
 
 
 class TestJsonlRoundTrip:
