@@ -124,9 +124,8 @@ class ClusterController:
         #: Node power version at the last wake-completion scan (the scan
         #: only finds work when a node changed power state).
         self._seen_power_version = -1
-        #: Memoized ``_reactivation_pending`` answer, keyed on
-        #: (node power version, drained-set size).
-        self._reactivation_cache: tuple[tuple[int, int], bool] | None = None
+        #: (completed migrations, :meth:`_empty_nodes`) at its last rebuild.
+        self._empty_nodes_cache: tuple[int, tuple[int, ...]] = (-1, ())
         #: Why :meth:`macro_view` last refused a span (telemetry).
         self.macro_cut: str = ""
 
@@ -223,7 +222,7 @@ class ClusterController:
         """
         if self.engine.migrations.active_count:
             return False
-        if self._booting_nodes() or self._reactivation_pending():
+        if self.machine.booting_node_count or self._reactivation_pending():
             return False
         if now_s + 1e-12 >= self._next_check_s:
             return False  # the node-planning check replans / migrates
@@ -321,51 +320,52 @@ class ClusterController:
             sid in self._drained for sid in self.machine.node_sockets(node)
         )
 
-    def _booting_nodes(self) -> bool:
-        return self.machine.booting_node_count > 0
-
     def _reactivation_pending(self) -> bool:
         """A woken node whose sockets still await reactivation.
 
-        Gated on the machine's node power version: with no power-state
-        change since the last scan the answer cannot have changed, and
-        this is probed on every macro attempt.
+        :meth:`_complete_wakes` reactivates every drained socket of a
+        powered-on node, so only a node power change since its last scan
+        can leave one waiting; this is probed on every macro attempt.
         """
-        if not self._drained:
+        if self.machine.node_power_version == self._seen_power_version:
             return False
-        # The drained set only shrinks on wakes (no power-version bump),
-        # so its size joins the key; it only grows alongside a power-off.
-        key = (self.machine.node_power_version, len(self._drained))
-        cached = self._reactivation_cache
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        pending = any(
+        return any(
             self.machine.node_power_state(self.machine.node_of_socket(sid))
             is NodePowerState.ON
             for sid in self._drained
         )
-        self._reactivation_cache = (key, pending)
-        return pending
+
+    def _empty_nodes(self) -> tuple[int, ...]:
+        """Non-anchor nodes whose sockets hold no partition, rebuilt only
+        when a migration has completed (placement changes only then)."""
+        completed = len(self.engine.migrations.log)
+        if self._empty_nodes_cache[0] != completed:
+            hubs = self.engine.hubs
+            empty = tuple(
+                node
+                for node in range(self.machine.node_count)
+                if node != ANCHOR_NODE
+                and not any(
+                    hubs[sid].partition_ids
+                    for sid in self.machine.node_sockets(node)
+                )
+            )
+            self._empty_nodes_cache = (completed, empty)
+        return self._empty_nodes_cache[1]
 
     def _parkable_node(self, now_s: float) -> int | None:
         """First non-anchor node that has fully drained and awaits park."""
-        for node in range(self.machine.node_count):
-            if node == ANCHOR_NODE:
-                continue
+        for node in self._empty_nodes():
             if self.machine.node_power_state(node) is not NodePowerState.ON:
                 continue
-            hold = self._wake_hold_until.get(node)
-            if hold is not None:
-                if now_s + 1e-12 < hold:
-                    continue  # wake cooldown: just booted, give the
-                    # planner time to put load on it before re-parking
-                del self._wake_hold_until[node]
+            if now_s + 1e-12 < self._wake_hold_until.get(node, 0.0):
+                continue  # wake cooldown: just booted, give the planner
+                # time to put load on it before re-parking
             sids = self.machine.node_sockets(node)
             if any(sid in self._drained for sid in sids):
                 continue  # mid-wake; reactivation owns these sockets
             if all(
-                not self.engine.hubs[sid].partition_ids
-                and not self.engine.hubs[sid].pending_messages
+                not self.engine.hubs[sid].pending_messages
                 and not self.engine.router.buffered_from(sid)
                 for sid in sids
             ):

@@ -150,18 +150,15 @@ class InterSocketRouter:
         for socket_id, hub in hubs.items():
             for pid in hub.partition_ids:
                 self._partition_home[pid] = socket_id
-        #: Maintained per-route and total buffered-message counts (chunks
-        #: count their full message total), replacing the per-call queue
-        #: scans of ``total_buffered``.
-        self._buffered: dict[tuple[int, int], int] = {
-            key: 0 for key in self._outbound
-        }
+        #: Maintained per-sender and total buffered-message counts (chunks
+        #: count their full message total), replacing per-call scans.
+        self._buffered_by_source: dict[int, int] = dict.fromkeys(hubs, 0)
         self._total_buffered = 0
         self.total_messages_moved = 0
         self.total_forwarded = 0
 
-    def _buffered_add(self, key: tuple[int, int], count: int) -> None:
-        self._buffered[key] += count
+    def _buffered_add(self, source_socket: int, count: int) -> None:
+        self._buffered_by_source[source_socket] += count
         self._total_buffered += count
 
     # -- routing ------------------------------------------------------------
@@ -191,7 +188,7 @@ class InterSocketRouter:
             self._hubs[source_socket].enqueue(message)
             return True
         self._outbound[(source_socket, destination)].append(message)
-        self._buffered_add((source_socket, destination), 1)
+        self._buffered_add(source_socket, 1)
         return False
 
     def route_bank(
@@ -222,14 +219,17 @@ class InterSocketRouter:
             if route not in self._outbound:
                 raise MessagingError(f"unknown source socket {src}")
             self._outbound[route].append(part)
-            self._buffered_add(route, part.count)
+            self._buffered_add(src, part.count)
 
     def buffered_count(self, source_socket: int, destination_socket: int) -> int:
         """Messages waiting in one outbound buffer."""
         key = (source_socket, destination_socket)
         if key not in self._outbound:
             raise MessagingError(f"no route {source_socket} -> {destination_socket}")
-        return self._buffered[key]
+        return sum(
+            item.count if type(item) is _BankChunk else 1
+            for item in self._outbound[key]
+        )
 
     @property
     def total_buffered(self) -> int:
@@ -242,17 +242,12 @@ class InterSocketRouter:
         A socket with a non-empty sender side still owes flush work, so
         the drain logic must not park it yet.
         """
-        if source_socket not in self._hubs:
-            raise MessagingError(f"unknown source socket {source_socket}")
-        return sum(
-            count
-            for (src, _dst), count in self._buffered.items()
-            if src == source_socket
-        )
-
-    def is_internode(self, source_socket: int, destination_socket: int) -> bool:
-        """Whether a route crosses a node boundary (pays network costs)."""
-        return (source_socket, destination_socket) in self._internode
+        try:
+            return self._buffered_by_source[source_socket]
+        except KeyError:
+            raise MessagingError(
+                f"unknown source socket {source_socket}"
+            ) from None
 
     # -- migration ------------------------------------------------------------
 
@@ -294,7 +289,7 @@ class InterSocketRouter:
         self._partition_home[partition_id] = target_socket
         if messages:
             self._outbound[(source, target_socket)].extend(messages)
-            self._buffered_add((source, target_socket), len(messages))
+            self._buffered_add(source, len(messages))
         if (source, target_socket) in self._internode:
             # Crossing a node boundary: the copy runs over the network,
             # not the coherent interconnect.
@@ -380,7 +375,7 @@ class InterSocketRouter:
                     forwards.append(((dst, home), item))
                     forwarded += 1
             moved += count
-            self._buffered_add((src, dst), -count)
+            self._buffered_add(src, -count)
             per_side = WorkCost(
                 instructions=per_message * count,
                 bytes_accessed=bytes_per_message * count,
@@ -395,7 +390,7 @@ class InterSocketRouter:
         for route, item in forwards:
             self._outbound[route].append(item)
             self._buffered_add(
-                route, item.count if type(item) is _BankChunk else 1
+                route[0], item.count if type(item) is _BankChunk else 1
             )
         self.total_messages_moved += moved
         self.total_forwarded += forwarded

@@ -33,7 +33,7 @@ from repro.profiles.generator import ConfigurationGenerator, GeneratorParameters
 from repro.profiles.profile import EnergyProfile
 from repro.sim.metrics import SampleAnnotations
 from repro.ecl.calibration import CalibrationResult, MetaCalibrator
-from repro.ecl.socket_ecl import EclParameters, SocketEcl
+from repro.ecl.socket_ecl import READ_ONLY_CUTS, EclParameters, SocketEcl
 from repro.ecl.system_ecl import SystemEcl
 
 if TYPE_CHECKING:
@@ -72,8 +72,10 @@ class EnergyControlLoop:
             )
             for sock in self.machine.topology.sockets
         }
-        #: Why :meth:`macro_view` last refused a span (telemetry).
+        #: Why :meth:`macro_view` last refused a span (telemetry), and
+        #: the tick time of that refusal.
         self.macro_cut: str = ""
+        self._refused_at_s: float | None = None
 
         self.profiles: dict[int, EnergyProfile] = {}
         self.sockets: dict[int, SocketEcl] = {}
@@ -203,7 +205,8 @@ class EnergyControlLoop:
     # -- main loop -----------------------------------------------------------------
 
     def on_tick(self, now_s: float, dt_s: float) -> None:
-        """Run all loops for the upcoming tick; call before engine.tick."""
+        """Run the due loops for the upcoming tick; call before engine.tick.
+        Every live socket pays the loop overhead on every tick."""
         self.system.on_tick(now_s)
         overhead = self.engine.overhead_balances()
         for sid, socket_ecl in self.sockets.items():
@@ -211,7 +214,8 @@ class EnergyControlLoop:
                 # The socket-level loop's thread is parked along with its
                 # socket; it neither decides nor costs anything.
                 continue
-            socket_ecl.on_tick(now_s)
+            if socket_ecl.is_due(now_s):
+                socket_ecl.on_tick(now_s)
             overhead[sid] += self._overhead_rate_ips[sid] * dt_s
 
     def macro_view(
@@ -224,13 +228,12 @@ class EnergyControlLoop:
         simulation state does not otherwise change, :meth:`on_tick` is
         exactly equivalent to charging ``tick_charges[sid]`` overhead
         instructions per socket — no decisions, no reconfigurations, no
-        counter or RNG activity.  The horizon folds every scheduled
-        control event: the system-level check, each socket loop's
-        interval deadline, its RTI phase flips, and the phase transitions
-        of any in-flight multiplexed measurement slot (see
-        :meth:`SocketEcl.macro_horizon_s`).  ``None`` means some loop
-        acts on the very next tick and it must run live; the reason is
-        left in :attr:`macro_cut` for span-cut attribution.
+        counter or RNG activity.  The horizon is the earliest socket-loop
+        horizon (:meth:`SocketEcl.macro_horizon_s`, evaluated only for
+        due loops; the others report the due time their last visit
+        recorded).  ``None`` means some loop acts on the very next tick
+        and it must run live; the reason is left in :attr:`macro_cut`
+        for span-cut attribution.
 
         The system-level latency check deliberately does NOT bound the
         horizon: it is exactly replayable after the fact (see
@@ -241,10 +244,14 @@ class EnergyControlLoop:
         for sid, socket_ecl in self.sockets.items():
             if socket_ecl.drained:
                 continue  # stood down: no decisions and no overhead
-            h = socket_ecl.macro_horizon_s(now_s)
-            if h is None:
-                self.macro_cut = socket_ecl.macro_cut
-                return None
+            if socket_ecl.is_due(now_s):
+                h = socket_ecl.macro_horizon_s(now_s)
+                if h is None:
+                    self.macro_cut = socket_ecl.macro_cut
+                    self._refused_at_s = now_s
+                    return None
+            else:
+                h = socket_ecl.due_s
             if h < horizon:
                 horizon = h
             charges[sid] = self._overhead_rate_ips[sid] * dt_s
@@ -254,16 +261,15 @@ class EnergyControlLoop:
         """Replay one hardware-inert control tick inside a macro span.
 
         Called by the composite span executor when :meth:`macro_view`
-        refuses because some loop acts on the very next tick.  If every
-        non-drained socket loop's action is *replayable* — a no-op or a
-        counter-window open, i.e. RNG reads but no machine mutation (see
-        :meth:`SocketEcl.macro_tick_replayable`) — this runs the control
-        phase of the tick at ``now_s`` exactly as the live pipeline
-        would (system check first, then the socket loops in dict order,
-        preserving RNG draw order) and returns True; the runner then
-        continues the span across the tick.  Returns False, touching
-        nothing, when any loop's action mutates hardware state and the
-        tick must run live.
+        refuses because some loop acts on the very next tick.  A due
+        loop's tick is replayable when its horizon lies past the tick or
+        is ``None`` for a :data:`READ_ONLY_CUTS` reason (a refusal
+        :meth:`macro_view` made at this tick for another reason answers
+        at once).  If every due loop's tick is replayable, this runs the
+        control phase at ``now_s`` exactly as the live pipeline would
+        (system check first, then the due loops in dict order, keeping
+        the RNG draw order) and returns True; otherwise it returns
+        False, touching nothing, and the tick runs live.
 
         No overhead is charged here: the tick itself is committed by the
         *following* span segment, whose per-tick charges cover it — or
@@ -271,12 +277,25 @@ class EnergyControlLoop:
         no-op (every action taken here is idempotent at the same
         timestamp) and charges normally.
         """
-        live = [s for s in self.sockets.values() if not s.drained]
-        for socket_ecl in live:
-            if not socket_ecl.macro_tick_replayable(now_s):
+        if (
+            now_s == self._refused_at_s
+            and self.macro_cut not in READ_ONLY_CUTS
+        ):
+            return False
+        due = [
+            s
+            for s in self.sockets.values()
+            if not s.drained and s.is_due(now_s)
+        ]
+        for socket_ecl in due:
+            h = socket_ecl.macro_horizon_s(now_s)
+            if h is None:
+                if socket_ecl.macro_cut not in READ_ONLY_CUTS:
+                    return False
+            elif now_s + 1e-12 >= h:
                 return False
         self.system.on_tick(now_s)
-        for socket_ecl in live:
+        for socket_ecl in due:
             socket_ecl.on_tick(now_s)
         return True
 

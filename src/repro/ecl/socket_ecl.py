@@ -12,8 +12,9 @@ Runs periodically (default 1 Hz) and combines:
   plus multiplexed re-evaluation slots after drift.
 
 The loop is tick-driven: the simulation calls :meth:`SocketEcl.on_tick`
-*before* every engine tick, so configuration changes take effect for the
-upcoming tick and counter reads observe everything up to the tick start.
+*before* each engine tick on which it is due (:meth:`SocketEcl.is_due`),
+so configuration changes take effect for the upcoming tick and counter
+reads observe everything up to the tick start.
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ from repro.profiles.zones import RulingZone, zone_for_level
 from repro.ecl.adaptation import ProfileMaintainer
 from repro.ecl.rti import RtiController, RtiPlan
 from repro.ecl.utilization import UtilizationController
+
+#: :meth:`SocketEcl.macro_horizon_s` refusal reasons whose acting tick
+#: only opens a counter window: RNG draws, no machine mutation.
+READ_ONLY_CUTS = frozenset({"window-open", "mux-window-open"})
 
 
 @dataclass(frozen=True)
@@ -206,6 +211,8 @@ class SocketEcl:
         self.mux_slots_started = 0
         #: Why :meth:`macro_horizon_s` last refused a span (telemetry).
         self.macro_cut: str = ""
+        #: Earliest time :meth:`on_tick` may act, recorded by each visit.
+        self.due_s = float("-inf")
 
     # -- counter plumbing -------------------------------------------------------
 
@@ -502,11 +509,29 @@ class SocketEcl:
         the next :meth:`on_tick` re-applies the planned configuration.
         """
         self._drained = bool(drained)
+        if not drained:
+            self.due_s = float("-inf")
+
+    def is_due(self, now_s: float) -> bool:
+        """Whether :meth:`on_tick` may act at ``now_s``; before
+        :attr:`due_s` a visit is a pure no-op."""
+        return now_s + 1e-12 >= self.due_s
 
     def on_tick(self, now_s: float) -> None:
-        """Drive the loop; call immediately before each engine tick."""
+        """Drive the loop; call before an engine tick on which it is due.
+
+        Records :attr:`due_s`: the horizon of :meth:`macro_horizon_s`, or
+        ``-inf`` (due next tick) when that is ``None`` or a multiplexed
+        slot is preparing — it watches the backlog, which live ticks move.
+        """
         if self._drained:
             return
+        self._act(now_s)
+        preparing = self._mux_slot is not None and self._mux_slot.preparing
+        horizon = None if preparing else self.macro_horizon_s(now_s)
+        self.due_s = float("-inf") if horizon is None else horizon
+
+    def _act(self, now_s: float) -> None:
         if now_s + 1e-12 >= self._next_interval_s:
             self._next_interval_s += self.params.interval_s
             self._decide(now_s)
@@ -534,82 +559,26 @@ class SocketEcl:
         ):
             self._online_window = self._open_window(now_s)
 
-    def macro_tick_replayable(self, now_s: float) -> bool:
-        """Whether :meth:`on_tick` at ``now_s`` leaves hardware untouched.
-
-        True exactly when the upcoming tick's action is *hardware-inert*:
-        a pure no-op, or a counter-window open (RAPL / instruction reads
-        — RNG draws, but no machine mutation).  Such ticks can be
-        replayed inside a macro span by calling :meth:`on_tick` at the
-        exact tick time instead of dropping to per-tick mode, because
-        the engine's steady-state fold stays valid across them.
-
-        False when the tick applies a configuration or makes a decision
-        that may: the interval decide, any multiplexed-slot transition
-        that reaches :meth:`_apply` (prepare → settle, the close tick —
-        which falls through to re-apply the plan target — and slot
-        starts), and plan-target reconfigurations (RTI flips).  Those
-        invalidate the engine's span assumptions and must run live.
-
-        The branch structure mirrors :meth:`on_tick` exactly; keep the
-        two in sync.
-        """
-        if self._drained:
-            return True
-        if now_s + 1e-12 >= self._next_interval_s:
-            return False  # interval decision: may replan / reconfigure
-        slot = self._mux_slot
-        if slot is not None:
-            if slot.preparing:
-                # The prepare -> settle transition applies the probe
-                # configuration; until then the slot just idles.
-                return (
-                    self.backlog_fn() < slot.needed_backlog
-                    and now_s + 1e-12 < slot.prepare_until_s
-                )
-            # Settle waits and the window-open tick are pure reads; the
-            # close tick falls through to re-apply the plan target.
-            return now_s + 1e-12 < slot.measure_until_s
-        slot_cost = self.params.apply_time_s + self.params.measure_time_s
-        if self._mux_budget_s >= slot_cost:
-            return False  # a new slot may start (and apply idle)
-        plan = self._plan
-        if plan is None:
-            return True  # bootstrap: nothing to apply
-        if plan.is_active_phase(now_s):
-            target = plan.active_configuration
-        else:
-            target = self.profile.idle_configuration
-        # A pending reconfiguration mutates; otherwise the only possible
-        # action is opening the online counter window (reads).
-        return self._applied == target
-
     def macro_horizon_s(self, now_s: float) -> float | None:
         """Earliest future time at which :meth:`on_tick` may act.
 
-        The macro-stepping runner skips ticks strictly before the
-        returned horizon; for every one of them this method promises
-        :meth:`on_tick` would have been a pure no-op — no interval
-        decision, no reconfiguration, no counter window, no profile or
-        measurement-noise activity.
+        Every tick before it is a pure no-op for :meth:`on_tick` — no
+        interval decision, reconfiguration, counter window, profile or
+        measurement-noise activity — so a visit records it as
+        :attr:`due_s`, and the macro-stepping runner skips ticks up to it.
 
-        An in-flight multiplexed slot is a *span program*, not a reason
-        to force per-tick mode: between its scheduled transitions
-        (prepare → settle → measure → close) :meth:`on_tick` only
-        re-checks deadlines against constant state, so each phase
-        contributes its end time as a horizon and only the transition
-        ticks themselves — the ones that apply configurations or read
-        counters (RNG) — run live.  During *prepare* the backlog is
+        An in-flight multiplexed slot contributes each phase's end
+        (prepare → settle → measure → close) as a horizon, so only its
+        transition ticks run live.  During *prepare* the backlog is
         constant over a span (no arrivals, idle configuration), so the
-        saturation check cannot flip mid-span; a slot that is already
-        saturated transitions on the very next tick and returns ``None``.
+        saturation check cannot flip mid-span; a saturated slot
+        transitions on the very next tick and returns ``None``.
 
-        ``None`` declares the loop busy — the next tick acts (a phase
-        transition, a newly startable slot, a pending reconfiguration, a
-        counter window opening) — and forces per-tick execution;
-        :attr:`macro_cut` records why, for span-cut attribution.  A
-        drained loop returns from :meth:`on_tick` immediately, hence the
-        unbounded horizon.
+        ``None`` declares the loop busy: the next tick acts, and
+        :attr:`macro_cut` records why — ``window-open`` and
+        ``mux-window-open`` promise that the tick only opens a counter
+        window (RNG draws, no machine change).  A drained loop returns
+        from :meth:`on_tick` at once, hence the unbounded horizon.
         """
         if self._drained:
             return float("inf")
@@ -621,14 +590,14 @@ class SocketEcl:
                     self.macro_cut = "mux-saturated"
                     return None  # transitions to settle on the next tick
                 return min(horizon, slot.prepare_until_s)
-            if slot.window is None:
-                if now_s + 1e-12 >= slot.measure_from_s:
-                    self.macro_cut = "mux-window-open"
-                    return None  # the counter window opens next tick
-                return min(horizon, slot.measure_from_s)
             if now_s + 1e-12 >= slot.measure_until_s:
                 self.macro_cut = "mux-window-close"
                 return None  # the counter window closes next tick
+            if slot.window is None:
+                if now_s + 1e-12 >= slot.measure_from_s:
+                    self._cut_at_read("mux-window-open", now_s)
+                    return None  # the counter window opens next tick
+                return min(horizon, slot.measure_from_s)
             return min(horizon, slot.measure_until_s)
         slot_cost = self.params.apply_time_s + self.params.measure_time_s
         if self._mux_budget_s >= slot_cost:
@@ -652,10 +621,15 @@ class SocketEcl:
         ):
             opens_at = self._applied_at_s + self.params.apply_time_s
             if now_s >= opens_at:
-                self.macro_cut = "window-open"
+                self._cut_at_read("window-open", now_s)
                 return None  # the online window opens on the next tick
             horizon = min(horizon, opens_at)
         return horizon
+
+    def _cut_at_read(self, reason: str, now_s: float) -> None:
+        # A decision due on the same tick may reconfigure: not a read.
+        deciding = now_s + 1e-12 >= self._next_interval_s
+        self.macro_cut = "decide" if deciding else reason
 
     # -- introspection ---------------------------------------------------------------
 

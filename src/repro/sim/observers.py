@@ -18,7 +18,11 @@ built-ins are exactly the features that used to be hardcoded:
 
 Custom observers (tracing, extra metrics, fault injection, live
 plotting) subclass :class:`RunObserver`, override any subset of hooks,
-and are passed to ``SimulationRunner(config, observers=[...])``.
+and are passed to ``SimulationRunner(config, observers=[...])``.  A
+custom observer must also override :meth:`RunObserver.macro_horizon_s`
+to keep span stepping: the default ``None`` runs every tick of the run
+live, and the run's span-cut stats name the observer's class
+(``observer:MyProbe``) as the component that refused.
 """
 
 from __future__ import annotations
@@ -81,8 +85,8 @@ class RunObserver:
         reconfigurations, or migrations — the runner separately
         guarantees those).  ``float("inf")`` means "always skippable
         under those conditions".  The default ``None`` declares the
-        observer macro-unaware and disables span stepping while it is
-        attached — per-tick semantics are always safe.
+        observer macro-unaware and runs every tick of the run live while
+        it is attached — always safe, but slow: override it.
         """
         return None
 
@@ -238,13 +242,17 @@ class ObserverList:
     ) -> tuple[float | None, str]:
         """Aggregate horizon plus the ``macro_label`` of the member that
         set it, for span-cut attribution.  ``(None, label)`` identifies
-        the first macro-unaware member."""
+        the first macro-unaware member, by class when it keeps the
+        generic label."""
         horizon = float("inf")
         label = "observer"
         for obs in self._observers:
             h = obs.macro_horizon_s(now_s)
             if h is None:
-                return None, obs.macro_label
+                label = obs.macro_label
+                if label == RunObserver.macro_label:
+                    label = f"{label}:{type(obs).__name__}"
+                return None, label
             if h < horizon:
                 horizon = h
                 label = obs.macro_label

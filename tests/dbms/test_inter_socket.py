@@ -129,6 +129,45 @@ class TestRehoming:
         with pytest.raises(MessagingError):
             r.buffered_from(7)
 
+    def test_buffered_from_matches_a_scan_of_every_route(self):
+        """The per-sender count follows routing, flushes, forwarding and
+        a migration's queue eviction."""
+        hubs = {
+            0: IntraSocketHub(0, [0, 3]),
+            1: IntraSocketHub(1, [1, 4]),
+            2: IntraSocketHub(2, [2, 5]),
+        }
+        r = InterSocketRouter(hubs)
+
+        def check():
+            for src in hubs:
+                scan = sum(
+                    r.buffered_count(src, dst) for dst in hubs if dst != src
+                )
+                assert r.buffered_from(src) == scan
+
+        for src, pid in [(0, 1), (0, 2), (0, 4), (1, 0), (2, 3), (2, 1)]:
+            r.route(src, msg(pid))
+        check()
+        assert r.buffered_from(0) == 3
+        # Migrate partition 4 from socket 1 to socket 2 with two queued
+        # messages: the eviction is buffered on the 1 -> 2 route, and
+        # socket 0's message for 4 is forwarded on the next flush.
+        hubs[1].enqueue(msg(4))
+        hubs[1].enqueue(msg(4))
+        queue = hubs[1].evict_partition(4)
+        r.transfer_partition(4, 2, queue, data_bytes=0.0)
+        hubs[2].adopt_partition(4)
+        check()
+        assert r.buffered_from(1) == 3
+        stats = r.flush()
+        assert stats.forwarded == 1
+        check()
+        assert r.buffered_from(1) == 1  # 0's message for 4, one hop on
+        r.flush()
+        check()
+        assert r.total_buffered == 0
+
 
 def _vector_router():
     hubs = {

@@ -257,10 +257,13 @@ class TestDrainedSocketHorizon:
             policy="ecl",
             seed=5,
         )
-        socket_ecl = SimulationRunner(config).policy.sockets[0]
+        ecl = SimulationRunner(config).policy
+        socket_ecl = ecl.sockets[0]
         socket_ecl.set_drained(True)
         assert socket_ecl.macro_horizon_s(0.25) == float("inf")
-        assert socket_ecl.macro_tick_replayable(0.25)
+        state = dict(vars(socket_ecl))
+        assert ecl.macro_step_tick(0.25, config.tick_s)
+        assert vars(socket_ecl) == state
         socket_ecl.set_drained(False)
 
     def test_consolidation_drain_identity(self):

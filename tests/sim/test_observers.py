@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.loadprofiles import constant_profile
+from repro.loadprofiles import constant_profile, spike_profile
 from repro.sim import RunConfiguration, SimulationRunner
 from repro.sim.observers import ObserverList, RunObserver, SamplingObserver
 from repro.workloads import KeyValueWorkload, WorkloadVariant
@@ -159,3 +159,30 @@ class TestObserverList:
     def test_iteration(self):
         first, second = RecordingObserver(), RecordingObserver()
         assert list(ObserverList([first, second])) == [first, second]
+
+
+class TestMacroUnawareObserver:
+    """An observer that keeps the default ``macro_horizon_s`` turns span
+    stepping off for the whole run, and the run names it."""
+
+    def test_bare_observer_disables_spans_and_is_named(self):
+        class MyProbe(RunObserver):
+            pass
+
+        runner = SimulationRunner(
+            RunConfiguration(
+                workload=kv(), profile=spike_profile(duration_s=5.0)
+            ),
+            observers=[MyProbe()],
+        )
+        runner.run()
+        stats = runner.span_cut_stats()
+        assert stats["ticks_skipped"] == 0
+        assert "observer:MyProbe" in stats["cut_by"]
+
+    def test_explicit_labels_are_kept(self):
+        class Probe(RunObserver):
+            macro_label = "probe"
+
+        observers = ObserverList([SamplingObserver(0.25), Probe()])
+        assert observers.attributed_macro_horizon_s(0.0) == (None, "probe")
