@@ -7,6 +7,7 @@ into package sleep (see :mod:`repro.placement.policy` for the policies
 and :mod:`repro.placement.migration` for the move protocol).
 """
 
+from repro.placement.carbon import CarbonAwarePlacement
 from repro.placement.migration import (
     MigrationCoordinator,
     MigrationRecord,
@@ -40,6 +41,7 @@ __all__ = [
     "StaticPlacement",
     "ConsolidatePlacement",
     "BalancePlacement",
+    "CarbonAwarePlacement",
     "round_robin_assignment",
     "register_placement",
     "unregister_placement",

@@ -15,7 +15,7 @@ a phased tick pipeline (arrivals → control → engine step → completions
 from repro.sim.clock import OneShotDeadline, PeriodicDeadline, TickClock
 from repro.sim.loadgen import LoadGenerator
 from repro.sim.baseline import BaselinePolicy
-from repro.sim.consolidate import EclConsolidatePolicy
+from repro.sim.consolidate import ConsolidationController
 from repro.sim.governor import OndemandGovernorPolicy
 from repro.sim.performance import StaticPerformancePolicy
 from repro.sim.epb import EpbOnlyPolicy
@@ -56,7 +56,7 @@ __all__ = [
     "OneShotDeadline",
     "LoadGenerator",
     "BaselinePolicy",
-    "EclConsolidatePolicy",
+    "ConsolidationController",
     "OndemandGovernorPolicy",
     "StaticPerformancePolicy",
     "EpbOnlyPolicy",

@@ -47,6 +47,7 @@ from repro.sim.metrics import SampleAnnotations
 
 if TYPE_CHECKING:
     from repro.dbms.engine import DatabaseEngine
+    from repro.placement import PlacementPolicy
     from repro.sim.runner import RunConfiguration
 
 
@@ -251,25 +252,40 @@ def _build_epb_only(
 def _build_ecl_consolidate(
     engine: "DatabaseEngine", config: "RunConfiguration"
 ) -> ControlPolicy:
-    from repro.sim.consolidate import EclConsolidatePolicy
+    from repro.sim.consolidate import ConsolidationController
 
-    return EclConsolidatePolicy.build(engine, config)
+    return ConsolidationController.build(engine, config)
+
+
+def _build_node_consolidation(
+    engine: "DatabaseEngine",
+    config: "RunConfiguration",
+    planner: "PlacementPolicy",
+) -> ControlPolicy:
+    from repro.ecl.controller import EnergyControlLoop
+    from repro.sim.consolidate import ConsolidationController
+
+    inner = EnergyControlLoop.build(engine, config)
+    return ConsolidationController(engine, inner, planner, whole_nodes=True)
 
 
 def _build_ecl_cluster(
     engine: "DatabaseEngine", config: "RunConfiguration"
 ) -> ControlPolicy:
-    from repro.cluster.controller import ClusterController
+    from repro.placement import ConsolidatePlacement
 
-    return ClusterController.build(engine, config)
+    return _build_node_consolidation(engine, config, ConsolidatePlacement())
 
 
 def _build_ecl_carbon(
     engine: "DatabaseEngine", config: "RunConfiguration"
 ) -> ControlPolicy:
-    from repro.cluster.carbon import CarbonAwareClusterController
+    from repro.placement import CarbonAwarePlacement
 
-    return CarbonAwareClusterController.build(engine, config)
+    planner = CarbonAwarePlacement(
+        config.environment, config.profile.duration_s
+    )
+    return _build_node_consolidation(engine, config, planner)
 
 
 register_policy(

@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.cluster.carbon import (
+from repro.placement.carbon import (
     PACK_MAX,
     PACK_MIN,
     RATIO_CEILING,
     RATIO_FLOOR,
     SPREAD_MAX,
     THRESHOLD_GAP,
-    CarbonAwareClusterController,
+    CarbonAwarePlacement,
 )
 from repro.environment import ConstantSignal, Environment, StepSignal, make_environment
 from repro.hardware.cluster import homogeneous_cluster
@@ -36,29 +36,30 @@ class TestRegistration:
 
     def test_builds_carbon_controller(self):
         runner = SimulationRunner(carbon_config())
-        assert isinstance(runner.policy, CarbonAwareClusterController)
+        assert isinstance(runner.policy.planner, CarbonAwarePlacement)
+        assert runner.policy.whole_nodes
 
     def test_build_wires_environment_and_duration(self):
         env = make_environment("diurnal-carbon", 2.0)
         runner = SimulationRunner(carbon_config(environment=env))
-        policy = runner.policy
-        assert policy.environment is env
-        assert policy._carbon_ref == pytest.approx(
+        planner = runner.policy.planner
+        assert planner.environment is env
+        assert planner._carbon_ref == pytest.approx(
             env.carbon.average(0.0, 2.0)
         )
 
 
 class TestWithoutEnvironment:
     def test_ratio_is_exactly_one(self):
-        policy = SimulationRunner(carbon_config()).policy
-        assert policy.signal_ratio(0.0) == 1.0
-        assert policy.signal_ratio(1.5) == 1.0
+        planner = SimulationRunner(carbon_config()).policy.planner
+        assert planner.signal_ratio(0.0) == 1.0
+        assert planner.signal_ratio(1.5) == 1.0
 
     def test_thresholds_collapse_to_cluster_defaults(self):
-        policy = SimulationRunner(carbon_config()).policy
-        pack, spread = policy.planner_thresholds(0.0)
-        assert pack == policy._base_pack
-        assert spread == policy._base_spread
+        planner = SimulationRunner(carbon_config()).policy.planner
+        pack, spread = planner.planner_thresholds(0.0)
+        assert pack == planner._base_pack
+        assert spread == planner._base_spread
 
     def test_bit_identical_to_ecl_cluster(self):
         """No environment -> ratio 1.0 on every planning check -> the
@@ -82,8 +83,8 @@ class TestWithoutEnvironment:
             assert x == y
 
 
-def _synthetic_controller(carbon_levels, price=0.12, duration_s=10.0):
-    """A controller over a synthetic step-carbon environment."""
+def _synthetic_planner(carbon_levels, price=0.12, duration_s=10.0):
+    """The carbon planner over a synthetic step-carbon environment."""
     env = Environment(
         name="synthetic",
         carbon=StepSignal(carbon_levels),
@@ -92,35 +93,35 @@ def _synthetic_controller(carbon_levels, price=0.12, duration_s=10.0):
     runner = SimulationRunner(
         carbon_config(environment=env, duration_s=duration_s)
     )
-    return runner.policy
+    return runner.policy.planner
 
 
 class TestModulation:
     def test_dirty_hours_raise_both_thresholds(self):
         # 100 then 300 around a 200 average: second half is dirty.
-        policy = _synthetic_controller([(0.0, 100.0), (5.0, 300.0)])
-        clean_pack, clean_spread = policy.planner_thresholds(2.0)
-        dirty_pack, dirty_spread = policy.planner_thresholds(7.0)
-        assert dirty_pack > policy._base_pack > clean_pack
+        planner = _synthetic_planner([(0.0, 100.0), (5.0, 300.0)])
+        clean_pack, clean_spread = planner.planner_thresholds(2.0)
+        dirty_pack, dirty_spread = planner.planner_thresholds(7.0)
+        assert dirty_pack > planner._base_pack > clean_pack
         assert dirty_spread > clean_spread
-        assert policy.signal_ratio(2.0) < 1.0 < policy.signal_ratio(7.0)
+        assert planner.signal_ratio(2.0) < 1.0 < planner.signal_ratio(7.0)
 
     def test_ratio_clamps(self):
         # A 1000x swing must clamp, not blow the thresholds up.  The
         # dwell is asymmetric so the run average sits near the low
         # level and the surge ratio far exceeds the ceiling.
-        policy = _synthetic_controller([(0.0, 1.0), (9.0, 1000.0)])
-        assert policy._ratio_of(
-            policy.environment.carbon, 9.5, policy._carbon_ref
+        planner = _synthetic_planner([(0.0, 1.0), (9.0, 1000.0)])
+        assert planner._ratio_of(
+            planner.environment.carbon, 9.5, planner._carbon_ref
         ) == RATIO_CEILING
-        assert policy._ratio_of(
-            policy.environment.carbon, 2.0, policy._carbon_ref
+        assert planner._ratio_of(
+            planner.environment.carbon, 2.0, planner._carbon_ref
         ) == RATIO_FLOOR
 
     def test_thresholds_stay_a_valid_planner_config(self):
-        policy = _synthetic_controller([(0.0, 1.0), (9.0, 1000.0)])
+        planner = _synthetic_planner([(0.0, 1.0), (9.0, 1000.0)])
         for t in (0.0, 2.0, 5.0, 9.0, 9.9):
-            pack, spread = policy.planner_thresholds(t)
+            pack, spread = planner.planner_thresholds(t)
             assert PACK_MIN <= pack <= PACK_MAX
             assert spread <= SPREAD_MAX
             assert spread >= pack + THRESHOLD_GAP

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.cluster import ClusterController
 from repro.hardware.cluster import (
     NodePowerState,
     homogeneous_cluster,
@@ -10,6 +9,7 @@ from repro.hardware.cluster import (
 )
 from repro.loadprofiles import constant_profile, spike_profile
 from repro.sim import (
+    ConsolidationController,
     RunConfiguration,
     SimulationRunner,
     registered_policies,
@@ -41,7 +41,8 @@ class TestRegistration:
 
     def test_builds_cluster_controller(self):
         runner = SimulationRunner(cluster_config(duration_s=0.5))
-        assert isinstance(runner.policy, ClusterController)
+        assert isinstance(runner.policy, ConsolidationController)
+        assert runner.policy.whole_nodes
         assert runner.policy.planner.name == "consolidate"
 
     def test_annotations_delegate_to_inner_ecl(self):
