@@ -506,10 +506,13 @@ class SocketEcl:
         While drained, the consolidation layer owns the socket's hardware
         state (all threads parked, memory vacated, uncore halted); the
         loop must not fight it by re-applying configurations.  On resume
-        the next :meth:`on_tick` re-applies the planned configuration.
+        the next :meth:`on_tick` re-applies the planned configuration:
+        the wake set the socket's threads behind this loop's back, so
+        the configuration it applied before the park is forgotten.
         """
         self._drained = bool(drained)
         if not drained:
+            self._applied = None
             self.due_s = float("-inf")
 
     def is_due(self, now_s: float) -> bool:

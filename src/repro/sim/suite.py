@@ -63,7 +63,10 @@ from repro.workloads.base import Workload
 #: v7: the step resolution and the warm start use each socket's own
 #: parameter set, which changes results on heterogeneous fleets
 #: (homogeneous machines are unchanged).
-CACHE_VERSION = 7
+#: v8: a socket loop resumed from a park re-applies its plan instead of
+#: trusting its pre-park configuration, which changes consolidation
+#: results wherever a resumed socket's plan matched that configuration.
+CACHE_VERSION = 8
 
 DEFAULT_CACHE_DIR = ".repro_cache"
 
