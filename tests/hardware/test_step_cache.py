@@ -8,6 +8,7 @@ bit-identical to the exact, uncached path (``step_cache_size=0``).
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.hardware.machine import Machine
 from repro.hardware.perfmodel import SocketLoad
 from repro.loadprofiles import sine_profile
@@ -104,6 +105,28 @@ def test_machine_steps_bit_identical():
                 a.sockets[sid].executed_instructions
                 == b.sockets[sid].executed_instructions
             )
+
+
+def test_rejected_core_batch_leaves_requests_and_cache_intact():
+    """A batch with one off-ladder entry writes nothing: the requests and
+    the clock version are unchanged, so the cached machine's next step
+    (answered from its memo) equals the exact machine's recomputation."""
+    cached = Machine(seed=0)
+    exact = Machine(seed=0, step_cache_size=0)
+    chars = KeyValueWorkload(WorkloadVariant.NON_INDEXED).characteristics
+    batch = {core: 1.2 for core in range(11)}
+    batch[11] = 9.9
+    for machine in (cached, exact):
+        _set_loads(machine, chars, 1e12)
+        machine.step(0.001)
+        freq = machine.frequency
+        before = [freq.requested_core_frequency(0, c) for c in range(12)]
+        version = freq.version
+        with pytest.raises(ConfigurationError, match="9.9 GHz is not a valid"):
+            freq.set_socket_core_frequencies(0, batch, machine.time_s)
+        assert [freq.requested_core_frequency(0, c) for c in range(12)] == before
+        assert freq.version == version
+    _assert_same_step(cached.step(0.001), exact.step(0.001))
 
 
 def _assert_same_step(a, b):
