@@ -54,6 +54,11 @@ class ElasticWorkerPool:
         self._active_by_socket: dict[int, tuple[Worker, ...]] = dict(
             self._by_socket
         )
+        #: The active-thread tuple each socket was last synced to.  The
+        #: engine passes the C-state model's memoized tuple, which stays
+        #: the same object while the socket's threads are unchanged —
+        #: for instance across a node idle-bit flip caused by a peer.
+        self._synced: dict[int, tuple[int, ...]] = {}
 
     # -- lookup -----------------------------------------------------------
 
@@ -89,18 +94,24 @@ class ElasticWorkerPool:
 
         Workers on threads outside the set are parked (releasing their
         partition ownerships); workers on threads inside it are unparked.
+        Returns at once when the set equals the one last synced: worker
+        state changes nowhere else.
         """
-        active = set(active_thread_ids)
+        synced = tuple(active_thread_ids)
+        if synced == self._synced.get(socket_id):
+            return
+        active = set(synced)
         hub = self._hubs[socket_id]
+        unparked = []
         for worker in self.workers_on_socket(socket_id):
             if worker.hw_thread_id in active:
                 worker.state = WorkerState.ACTIVE
+                unparked.append(worker)
             elif worker.state is WorkerState.ACTIVE:
                 hub.release_all(worker.worker_id)
                 worker.state = WorkerState.PARKED
-        self._active_by_socket[socket_id] = tuple(
-            w for w in self.workers_on_socket(socket_id) if w.is_active
-        )
+        self._active_by_socket[socket_id] = tuple(unparked)
+        self._synced[socket_id] = synced
 
     def park_all(self, socket_id: int) -> None:
         """Park every worker of a socket (machine-idle / RTI idle phase)."""

@@ -633,6 +633,8 @@ class IntraSocketHub:
 
     def release_all(self, worker_id: int) -> None:
         """Release every partition owned by a worker (park-time cleanup)."""
+        if not self._owners:
+            return
         owned = [pid for pid, wid in self._owners.items() if wid == worker_id]
         for pid in owned:
             del self._owners[pid]

@@ -69,6 +69,17 @@ class CStateModel:
         self._active_threads: set[int] = set(
             t.global_id for t in topology.iter_threads()
         )
+        #: Each socket's own threads (the ``set_socket_threads`` checks).
+        self._own_threads: dict[int, frozenset[int]] = {
+            s.socket_id: frozenset(s.thread_ids()) for s in topology.sockets
+        }
+        #: Memo of each socket's active-thread tuple (in
+        #: ``threads_on_socket`` order), dropped by every mutation of that
+        #: socket's own threads.  A node idle-bit flip bumps a peer
+        #: socket's mutation version without touching its threads, so
+        #: the peer keeps its tuple object — the worker pool's sync
+        #: compares against it.
+        self._active_on_socket: dict[int, tuple[int, ...]] = {}
         #: Active-thread count per node (O(1) node-idle checks).
         self._node_threads: list[int] = [0] * node_count
         for thread in topology.iter_threads():
@@ -113,10 +124,16 @@ class CStateModel:
         cached = self._fingerprints.get(socket_id)
         if cached is not None and cached[0] == version:
             return cached[1]
-        on_socket = self._topology.threads_on_socket(socket_id)
+        shallow = self._shallow_threads
         content = (
-            tuple(t for t in on_socket if t in self._active_threads),
-            tuple(t for t in on_socket if t in self._shallow_threads),
+            self.active_threads_on_socket(socket_id),
+            tuple(
+                t
+                for t in self._topology.threads_on_socket(socket_id)
+                if t in shallow
+            )
+            if shallow
+            else (),
             socket_id in self._memory_vacated,
             self.node_is_idle(self._socket_node[socket_id]),
         )
@@ -156,6 +173,7 @@ class CStateModel:
         for tid in ids:
             socket_id = self._topology.thread(tid).socket_id
             self._node_threads[self._socket_node[socket_id]] += 1
+        self._active_on_socket.clear()
         self._version += 1
         for sid in self._fingerprint_socket_versions:
             self._fingerprint_socket_versions[sid] += 1
@@ -171,20 +189,24 @@ class CStateModel:
         is invalidated (plus everyone's when the machine-idle bit
         flips), keeping the step-resolution cache warm for the others.
         """
-        own = self._topology.threads_on_socket(socket_id)
-        ids = set(thread_ids)
-        unknown = ids - set(own)
-        if unknown:
+        own = self._own_threads.get(socket_id)
+        if own is None:
+            self._topology.socket(socket_id)  # raises TopologyError
+        # No copy when the caller passes a frozenset (Configuration.apply).
+        ids = frozenset(thread_ids)
+        if not ids <= own:
             raise ConfigurationError(
-                f"threads {sorted(unknown)} not on socket {socket_id}"
+                f"threads {sorted(ids - own)} not on socket {socket_id}"
             )
         node = self._socket_node[socket_id]
         was_idle = self.node_is_idle(node)
-        before = sum(1 for tid in own if tid in self._active_threads)
+        before = len(self.active_threads_on_socket(socket_id))
         self._active_threads.difference_update(own)
         self._active_threads.update(ids)
         self._node_threads[node] += len(ids) - before
-        self._shallow_threads.difference_update(ids)
+        if self._shallow_threads:
+            self._shallow_threads.difference_update(ids)
+        del self._active_on_socket[socket_id]
         self._version += 1
         self._touch_fingerprint(socket_id, was_idle)
 
@@ -197,6 +219,7 @@ class CStateModel:
         if thread_id in self._active_threads:
             self._active_threads.discard(thread_id)
             self._node_threads[node] -= 1
+            self._active_on_socket.pop(socket_id, None)
         if shallow:
             self._shallow_threads.add(thread_id)
         else:
@@ -213,6 +236,7 @@ class CStateModel:
         if thread_id not in self._active_threads:
             self._active_threads.add(thread_id)
             self._node_threads[node] += 1
+            self._active_on_socket.pop(socket_id, None)
         self._shallow_threads.discard(thread_id)
         self._version += 1
         self._touch_fingerprint(socket_id, was_idle)
@@ -264,9 +288,21 @@ class CStateModel:
         return thread_id in self._active_threads
 
     def active_threads_on_socket(self, socket_id: int) -> tuple[int, ...]:
-        """Active thread ids on one socket, ascending."""
-        on_socket = self._topology.threads_on_socket(socket_id)
-        return tuple(tid for tid in on_socket if tid in self._active_threads)
+        """Active thread ids on one socket, in the socket's thread order.
+
+        Memoized until the socket's own thread set next mutates: callers
+        get the same tuple object back while it is unchanged.
+        """
+        cached = self._active_on_socket.get(socket_id)
+        if cached is None:
+            active = self._active_threads
+            cached = tuple(
+                tid
+                for tid in self._topology.threads_on_socket(socket_id)
+                if tid in active
+            )
+            self._active_on_socket[socket_id] = cached
+        return cached
 
     def core_state(self, socket_id: int, core_id: int) -> CState:
         """Sleep state of a physical core, derived from its threads."""
@@ -288,8 +324,8 @@ class CStateModel:
         )
 
     def socket_is_idle(self, socket_id: int) -> bool:
-        """True if no core of the socket is active."""
-        return self.active_core_count(socket_id) == 0
+        """True if no core of the socket is active (no thread of it is)."""
+        return not self.active_threads_on_socket(socket_id)
 
     def machine_is_idle(self) -> bool:
         """True if every socket of the machine is idle.

@@ -248,6 +248,12 @@ class Machine:
                     2 * sid + index, self._socket_params[sid], domain, child
                 )
             self._instructions[sid] = self._instr_bank.view(sid)
+        #: Each socket's RAPL counters in domain order, for the
+        #: reconfiguration notice every RTI flip sends.
+        self._rapl_by_socket: dict[int, tuple[RaplCounter, ...]] = {
+            sid: tuple(self._rapl[(sid, domain)] for domain in RaplDomain)
+            for sid in self._socket_ids
+        }
 
         self._loads: dict[int, SocketLoad] = {
             sock.socket_id: SocketLoad(
@@ -318,11 +324,13 @@ class Machine:
             "misses": 0,
             "fast_hits": 0,
         }
-        #: Configurations already validated against this machine
-        #: (immutable value objects, so a one-time check suffices; the
-        #: RTI duty cycle re-applies the same two configurations every
-        #: period).
-        self.validated_configurations: set = set()
+        #: Configurations already validated against this machine, each
+        #: with its expanded ``core_id -> GHz`` request for every core of
+        #: its socket (immutable value objects, so a one-time check and
+        #: expansion suffice; the RTI duty cycle re-applies the same two
+        #: configurations every period).  Filled by
+        #: :meth:`repro.profiles.configuration.Configuration.apply`.
+        self.validated_configurations: dict = {}
 
     # -- cluster axis ---------------------------------------------------------
 
@@ -531,8 +539,9 @@ class Machine:
         self.frequency.set_epb_all(bias)
 
     def _note_switch(self, socket_id: int) -> None:
-        for domain in RaplDomain:
-            self._rapl[(socket_id, domain)].note_configuration_switch(self._time_s)
+        now = self._time_s
+        for counter in self._rapl_by_socket[socket_id]:
+            counter.note_configuration_switch(now)
 
     def note_configuration_switch(self, socket_id: int) -> None:
         """Record an external reconfiguration (frequency changes etc.)."""

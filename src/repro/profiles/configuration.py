@@ -144,27 +144,39 @@ class Configuration:
 
         Parks/unparks threads, sets active cores to their frequencies and
         inactive cores to the minimum P-state, and pins the uncore clock.
+        The configuration is validated before its first apply on each
+        machine; an invalid one raises on every apply and changes nothing.
+
+        Raises:
+            ConfigurationError: as :meth:`validate`.
         """
-        # Validation depends only on (self, machine topology/ladders) —
-        # both immutable — so each configuration is checked once per
-        # machine, not on every duty-cycle re-application.
-        if self not in machine.validated_configurations:
-            self.validate_against(machine)
-            machine.validated_configurations.add(self)
-        now = machine.time_s
-        machine.apply_socket_threads(self.socket_id, set(self.active_threads))
-        freq_map = dict(self.core_frequencies)
-        minimum = machine.frequency.core_ladder_for(self.socket_id).minimum
-        socket = machine.topology.socket(self.socket_id)
+        requests = machine.validated_configurations.get(self)
+        if requests is None:
+            requests = self._core_requests(machine)
+            machine.validated_configurations[self] = requests
+        machine.apply_socket_threads(self.socket_id, self.active_threads)
         machine.frequency.set_socket_core_frequencies(
-            self.socket_id,
-            {
-                core.core_id: freq_map.get(core.core_id, minimum)
-                for core in socket.cores
-            },
-            now,
+            self.socket_id, requests, machine.time_s
         )
         machine.frequency.set_uncore_frequency(self.socket_id, self.uncore_ghz)
+
+    def _core_requests(self, machine: Machine) -> dict[int, float]:
+        """Validate against ``machine`` and expand into the request of
+        every core of the socket: active cores at their frequencies,
+        inactive cores at the minimum P-state.
+
+        Both depend only on (self, machine topology and ladders), all
+        immutable, so :meth:`apply` derives them once per machine and
+        keeps them in ``machine.validated_configurations``; the RTI duty
+        cycle re-applies the same two configurations every period.
+        """
+        self.validate_against(machine)
+        freq_map = dict(self.core_frequencies)
+        minimum = machine.frequency.core_ladder_for(self.socket_id).minimum
+        return {
+            core.core_id: freq_map.get(core.core_id, minimum)
+            for core in machine.topology.socket(self.socket_id).cores
+        }
 
     def describe(self) -> str:
         """Short human-readable form, e.g. ``"8t@2.1GHz/u1.2GHz"``."""

@@ -80,6 +80,80 @@ class TestApplication:
             c.validate_against(machine)
 
 
+class TestValidationOnEveryApply:
+    """An invalid configuration is rejected on every apply, with the
+    validator's message, and leaves the machine untouched; a valid one is
+    validated once per machine, before its first apply there."""
+
+    @pytest.mark.parametrize(
+        "configuration, message",
+        [
+            (
+                Configuration.build(0, {0, 13}, {0: 1.2, 1: 1.2}, 1.2),
+                "threads [13] not on socket 0",
+            ),
+            (
+                Configuration.build(0, {0}, {0: 1.2, 99: 1.2}, 1.2),
+                "unknown core 99 on socket 0",
+            ),
+            (
+                Configuration.build(0, {0}, {0: 2.65}, 1.2),
+                "2.65 GHz is not a valid P-state; ladder is 1.2-3.1 GHz",
+            ),
+            (
+                Configuration.build(0, {0}, {0: 1.2}, 3.3),
+                "3.3 GHz is not a valid P-state; ladder is 1.2-3.0 GHz",
+            ),
+        ],
+        ids=["foreign-thread", "unknown-core", "core-clock", "uncore-clock"],
+    )
+    def test_rejected_on_every_apply_and_machine_untouched(
+        self, machine, configuration, message
+    ):
+        Configuration.build(0, {0, 24}, {0: 2.6}, 3.0).apply(machine)
+        freq, cstates = machine.frequency, machine.cstates
+
+        def snapshot():
+            return (
+                freq.version,
+                cstates.version,
+                cstates.active_threads,
+                [freq.requested_core_frequency(0, c) for c in range(12)],
+                freq.effective_uncore_frequency(0, True),
+                set(machine.validated_configurations),
+            )
+
+        before = snapshot()
+        for _ in range(2):
+            with pytest.raises(ConfigurationError) as err:
+                configuration.apply(machine)
+            assert str(err.value) == message
+            assert snapshot() == before
+        assert configuration not in machine.validated_configurations
+
+    def test_validated_once_per_machine(self, machine, small_machine, monkeypatch):
+        """Core 5 exists on the default socket but not on the 4-core one:
+        a configuration applied on one machine is still checked on the
+        next."""
+        checks = []
+        validate = Configuration.validate
+
+        def counting(configuration, rules):
+            checks.append(rules.socket_id)
+            return validate(configuration, rules)
+
+        monkeypatch.setattr(Configuration, "validate", counting)
+        c = Configuration.build(0, {5}, {5: 2.0}, 2.0)
+        c.apply(machine)
+        c.apply(machine)
+        assert checks == [0]
+        assert set(machine.validated_configurations) == {c}
+        with pytest.raises(ConfigurationError, match="threads \\[5\\] not on"):
+            c.apply(small_machine)
+        assert checks == [0, 0]
+        assert c not in small_machine.validated_configurations
+
+
 class TestMeasurement:
     def test_efficiency(self):
         m = ConfigurationMeasurement(
