@@ -86,6 +86,8 @@ TRANSACTION_MIX: tuple[tuple[str, float, int, int, float], ...] = (
     ("INSERT_CALL_FORWARDING", 0.02, 1, 1, 0.3),
     ("DELETE_CALL_FORWARDING", 0.02, 0, 1, 0.0),
 )
+#: Mix-weighted share of transactions that hop to a second partition.
+CROSS_PARTITION_FRACTION = sum(p * x for _, p, _, _, x in TRANSACTION_MIX)
 
 INDEXED_CHARACTERISTICS = WorkloadCharacteristics(
     name="tatp-indexed",
@@ -122,6 +124,11 @@ class TatpWorkload(Workload):
                 f"transactions_per_query must be >= 1, got {transactions_per_query}"
             )
         self.transactions_per_query = transactions_per_query
+        #: Per-query constants of :meth:`make_modeled_query`, which
+        #: depend only on the variant: derived once here instead of once
+        #: per query (each is a loop of ``WorkCost`` additions).
+        self._average_cost = self.average_transaction_cost()
+        self._hop_cost = self._transaction_cost(reads=1, writes=0)
 
     @property
     def name(self) -> str:
@@ -178,7 +185,7 @@ class TatpWorkload(Workload):
         partition (the secondary-key hop), mirroring the message flow of
         UPDATE_LOCATION in the real system.
         """
-        avg = self.average_transaction_cost()
+        avg = self._average_cost
         fan_out = min(8, len(partitions))
         per_partition = self.transactions_per_query / fan_out
         targets = [int(p) for p in rng.choice(len(partitions), fan_out, replace=False)]
@@ -194,8 +201,8 @@ class TatpWorkload(Workload):
             for pid in targets
         ]
         # Secondary-key hops: ~15 % of transactions touch a second partition.
-        cross_fraction = sum(p * x for _, p, _, _, x in TRANSACTION_MIX)
-        hop_cost = self._transaction_cost(reads=1, writes=0)
+        cross_fraction = CROSS_PARTITION_FRACTION
+        hop_cost = self._hop_cost
         hop_partition = int(rng.integers(0, len(partitions)))
         stage1 = [
             Message(
