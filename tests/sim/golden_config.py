@@ -15,7 +15,9 @@ one, each on a configuration that parks and wakes hardware;
 that makes a socket loop resumed from a park re-apply its plan — one
 sample's ``applied`` annotation now reads ``none`` on the tick a socket
 resumes, and energies, latencies and every other field are unchanged.
-The pin
+The fixed-knob presets (:data:`FIXED_KNOB_GOLDENS`) were captured at
+commit ``35464a3``, before ``baseline``, ``performance`` and
+``epb-only`` were merged into one policy class.  The pin
 test (:mod:`tests.sim.test_golden_ab`) re-runs the identical
 configurations on the current code and asserts bit-identical results:
 refactors must not change a single float.
@@ -38,6 +40,15 @@ GOLDEN_POLICIES = ("ecl", "baseline", "ondemand")
 #: and wake: ``ecl-consolidate`` parks a socket, the cluster presets
 #: power a node off and boot it again.
 CONSOLIDATION_GOLDENS = ("ecl-consolidate", "ecl-cluster", "ecl-carbon")
+#: The fixed-knob presets, pinned where their park and wake paths run:
+#: ``performance`` parks and unparks on the spike and ``epb-only`` never
+#: parks.  ``baseline`` never parks on the spike (its idle grace never
+#: elapses there), so ``baseline-idle-gap`` runs it on
+#: :data:`IDLE_GAP_LEVELS`, where it parks after the grace and wakes.
+FIXED_KNOB_GOLDENS = ("performance", "epb-only", "baseline-idle-gap")
+#: (duration_s, load fraction) steps: two loaded seconds, each followed
+#: by an idle one.
+IDLE_GAP_LEVELS = [(1.0, 0.3), (1.0, 0.0), (1.0, 0.3), (1.0, 0.0)]
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 #: Short but dynamically rich: the spike covers idle, partial load and
 #: the overload knee, so every control path (RTI, ladder walks, parking)
@@ -49,16 +60,25 @@ GOLDEN_SEED = 0
 def golden_configuration(policy: str):
     """The exact :class:`RunConfiguration` a golden was captured from.
 
-    ``ecl-cluster`` runs a 6 s spike on two nodes; ``ecl-carbon`` runs a
-    10 s Twitter day on four nodes under a carbon step from 400 to
-    100 gCO₂/kWh at t = 5 s, which moves its plan away from
-    ``ecl-cluster``'s (see :func:`carbon_day_configuration`).
+    ``policy`` names the golden, which is the policy's name except for
+    ``baseline-idle-gap``.  ``ecl-cluster`` runs a 6 s spike on two
+    nodes; ``ecl-carbon`` runs a 10 s Twitter day on four nodes under a
+    carbon step from 400 to 100 gCO₂/kWh at t = 5 s, which moves its
+    plan away from ``ecl-cluster``'s (see
+    :func:`carbon_day_configuration`).
     """
     from repro.hardware.cluster import homogeneous_cluster
-    from repro.loadprofiles import spike_profile
+    from repro.loadprofiles import spike_profile, step_profile
     from repro.sim import RunConfiguration
     from repro.workloads import KeyValueWorkload, WorkloadVariant
 
+    if policy == "baseline-idle-gap":
+        return RunConfiguration(
+            workload=KeyValueWorkload(WorkloadVariant.NON_INDEXED),
+            profile=step_profile(IDLE_GAP_LEVELS),
+            policy="baseline",
+            seed=GOLDEN_SEED,
+        )
     if policy == "ecl-cluster":
         return RunConfiguration(
             workload=KeyValueWorkload(WorkloadVariant.NON_INDEXED),
@@ -136,6 +156,43 @@ def run_recording_lifecycle(config, observers=()):
     return runner, runner.run(), calls
 
 
+def run_recording_parks(config):
+    """Run ``config``; record the simulation times at which every
+    hardware thread is parked at once, and at which threads come back
+    after such a park, at the C-state call the fixed-knob presets make.
+    Also records the tick time of every completion.  Returns (result,
+    parks, wakes, completions)."""
+    from repro.sim import RunObserver, SimulationRunner
+
+    class CompletionTimes(RunObserver):
+        def __init__(self):
+            self.times: list[float] = []
+
+        def on_completion(self, now_s, completion):
+            self.times.append(now_s)
+
+        def macro_horizon_s(self, now_s):
+            return float("inf")  # completions happen only on live ticks
+
+    completions = CompletionTimes()
+    runner = SimulationRunner(config, observers=[completions])
+    machine = runner.machine
+    parks: list[float] = []
+    wakes: list[float] = []
+    set_active_threads = machine.cstates.set_active_threads
+
+    def record(thread_ids):
+        ids = set(thread_ids)
+        if not ids:
+            parks.append(machine.time_s)
+        elif len(parks) > len(wakes):
+            wakes.append(machine.time_s)
+        set_active_threads(ids)
+
+    machine.cstates.set_active_threads = record
+    return runner.run(), parks, wakes, completions.times
+
+
 def capture(policies) -> None:
     """Run the named golden configurations and pickle their results."""
     from repro.sim import run_experiment
@@ -155,4 +212,7 @@ def capture(policies) -> None:
 
 
 if __name__ == "__main__":
-    capture(tuple(sys.argv[1:]) or GOLDEN_POLICIES + CONSOLIDATION_GOLDENS)
+    capture(
+        tuple(sys.argv[1:])
+        or GOLDEN_POLICIES + CONSOLIDATION_GOLDENS + FIXED_KNOB_GOLDENS
+    )

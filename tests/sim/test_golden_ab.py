@@ -3,9 +3,10 @@
 The goldens under ``tests/sim/goldens/`` are pickled
 :class:`~repro.sim.metrics.RunResult` objects captured *before* the
 control layer was refactored behind the policy registry and the phased
-observer pipeline, and, for the three consolidation presets, before
-their controllers were merged into one (see ``golden_config.py`` for
-the exact capture commits and configurations).  The refactor's
+observer pipeline; for the three consolidation presets, before their
+controllers were merged into one; and for the fixed-knob presets, before
+their three policy classes were merged into one (see
+``golden_config.py`` for the exact capture commits and configurations).  The refactor's
 contract is behaviour preservation: the same configuration must still
 produce the same result object field-for-field — energies, every
 sample point, every latency.
@@ -24,12 +25,17 @@ from repro.sim import run_experiment
 
 from .golden_config import (
     CONSOLIDATION_GOLDENS,
+    FIXED_KNOB_GOLDENS,
     GOLDEN_POLICIES,
     carbon_day_configuration,
     golden_configuration,
     golden_path,
     run_recording_lifecycle,
+    run_recording_parks,
 )
+
+#: How long ``baseline`` waits on a dry machine before it parks.
+BASELINE_IDLE_GRACE_S = 0.25
 
 
 def load_golden(policy):
@@ -75,6 +81,29 @@ def test_consolidation_preset_bit_identical_to_golden(policy):
         assert counts["power_off"] == counts["boot"] == 0, counts
     else:
         assert counts["power_off"] >= 1 and counts["boot"] >= 1, counts
+
+
+@pytest.mark.parametrize("name", FIXED_KNOB_GOLDENS)
+def test_fixed_knob_preset_bit_identical_to_golden(name):
+    """Each golden covers its preset's park path: ``performance`` parks
+    and unparks, ``epb-only`` never parks, and ``baseline-idle-gap``
+    parks in each idle second only once the grace has passed since the
+    last completion, and wakes in between."""
+    golden = load_golden(name)
+    fresh, parks, wakes, completions = run_recording_parks(
+        golden_configuration(name)
+    )
+    assert_bit_identical(fresh, golden)
+    if name == "performance":
+        assert parks and wakes
+    elif name == "epb-only":
+        assert not parks
+    else:
+        assert len(parks) == 2 and len(wakes) == 1
+        assert parks[0] < wakes[0] < parks[1]
+        for park in parks:
+            last_completion = max(t for t in completions if t < park)
+            assert park - last_completion >= BASELINE_IDLE_GRACE_S
 
 
 def test_carbon_golden_pins_the_modulated_plan():
