@@ -14,11 +14,9 @@ a phased tick pipeline (arrivals → control → engine step → completions
 
 from repro.sim.clock import OneShotDeadline, PeriodicDeadline, TickClock
 from repro.sim.loadgen import LoadGenerator
-from repro.sim.baseline import BaselinePolicy
+from repro.sim.baseline import FixedKnobPolicy
 from repro.sim.consolidate import ConsolidationController
 from repro.sim.governor import OndemandGovernorPolicy
-from repro.sim.performance import StaticPerformancePolicy
-from repro.sim.epb import EpbOnlyPolicy
 from repro.sim.metrics import RunResult, SampleAnnotations, SamplePoint
 from repro.sim.observers import (
     ObserverList,
@@ -55,11 +53,9 @@ __all__ = [
     "PeriodicDeadline",
     "OneShotDeadline",
     "LoadGenerator",
-    "BaselinePolicy",
+    "FixedKnobPolicy",
     "ConsolidationController",
     "OndemandGovernorPolicy",
-    "StaticPerformancePolicy",
-    "EpbOnlyPolicy",
     "RunResult",
     "SampleAnnotations",
     "SamplePoint",

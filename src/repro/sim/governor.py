@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING
 from repro.dbms.engine import DatabaseEngine
 from repro.errors import ControlError
 from repro.hardware.frequency import EnergyPerformanceBias
+from repro.sim.baseline import apply_start_state
 from repro.sim.clock import PeriodicDeadline
 from repro.sim.metrics import SampleAnnotations
 
@@ -67,9 +68,18 @@ class OndemandGovernorPolicy:
             )
             for sock in self.machine.topology.sockets
         }
-        self._index: dict[int, int] = {}
-        self._decision = PeriodicDeadline(period_s)
-        self._initialized = False
+        #: Ladder position per socket; every socket starts at the top.
+        self._index = {
+            sid: len(steps) - 1 for sid, steps in self._steps.items()
+        }
+        apply_start_state(
+            self.machine,
+            {sid: steps[-1] for sid, steps in self._steps.items()},
+            EnergyPerformanceBias.BALANCED,
+        )
+        self._decision = PeriodicDeadline(
+            period_s, first_due_s=self.machine.time_s + period_s
+        )
 
     @classmethod
     def build(
@@ -77,16 +87,6 @@ class OndemandGovernorPolicy:
     ) -> "OndemandGovernorPolicy":
         """Control-policy factory (see :mod:`repro.sim.policy`)."""
         return cls(engine)
-
-    def _apply_initial_state(self) -> None:
-        machine = self.machine
-        all_threads = {t.global_id for t in machine.topology.iter_threads()}
-        machine.cstates.set_active_threads(all_threads)
-        machine.set_epb_all(EnergyPerformanceBias.BALANCED)
-        for sock in machine.topology.sockets:
-            machine.frequency.set_uncore_auto(sock.socket_id)
-            self._index[sock.socket_id] = len(self._steps[sock.socket_id]) - 1
-            self._set_socket_frequency(sock.socket_id)
 
     def _set_socket_frequency(self, socket_id: int) -> None:
         freq = self._steps[socket_id][self._index[socket_id]]
@@ -102,11 +102,6 @@ class OndemandGovernorPolicy:
 
     def on_tick(self, now_s: float, dt_s: float) -> None:
         """Walk the frequency ladder once per period."""
-        if not self._initialized:
-            self._apply_initial_state()
-            self._initialized = True
-            self._decision.restart(now_s)
-            return
         if not self._decision.due(now_s):
             return
         self._decision.restart(now_s)
@@ -133,8 +128,6 @@ class OndemandGovernorPolicy:
         Between decision deadlines :meth:`on_tick` is a pure deadline
         comparison, so the next decision time bounds the span.
         """
-        if not self._initialized:
-            return None  # the next tick applies the initial state
         return self._decision.next_due_s, {}
 
     def annotate_sample(self) -> SampleAnnotations:
