@@ -35,6 +35,7 @@ from repro.sim.metrics import SampleAnnotations
 from repro.ecl.calibration import CalibrationResult, MetaCalibrator
 from repro.ecl.socket_ecl import READ_ONLY_CUTS, EclParameters, SocketEcl
 from repro.ecl.system_ecl import SystemEcl
+from repro.units import at_or_after
 
 if TYPE_CHECKING:
     from repro.sim.runner import RunConfiguration
@@ -292,7 +293,7 @@ class EnergyControlLoop:
             if h is None:
                 if socket_ecl.macro_cut not in READ_ONLY_CUTS:
                     return False
-            elif now_s + 1e-12 >= h:
+            elif at_or_after(now_s, h):
                 return False
         self.system.on_tick(now_s)
         for socket_ecl in due:
@@ -334,7 +335,7 @@ class EnergyControlLoop:
             # it with the deadline's own predicate (bisect alone could
             # land one tick off within float rounding).
             j = bisect_left(times, target - 2e-12, j)
-            while j < n_ticks and times[j] + 1e-12 < target:
+            while j < n_ticks and not at_or_after(times[j], target):
                 j += 1
             if j >= n_ticks:
                 return

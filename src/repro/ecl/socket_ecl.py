@@ -31,6 +31,7 @@ from repro.profiles.zones import RulingZone, zone_for_level
 from repro.ecl.adaptation import ProfileMaintainer
 from repro.ecl.rti import RtiController, RtiPlan
 from repro.ecl.utilization import UtilizationController
+from repro.units import at_or_after
 
 #: :meth:`SocketEcl.macro_horizon_s` refusal reasons whose acting tick
 #: only opens a counter window: RNG draws, no machine mutation.
@@ -457,7 +458,7 @@ class SocketEcl:
             backlog = self.backlog_fn()
             if (
                 backlog < slot.needed_backlog
-                and now_s + 1e-12 < slot.prepare_until_s
+                and not at_or_after(now_s, slot.prepare_until_s)
             ):
                 return True  # keep idling, backlog is still building
             slot.preparing = False
@@ -468,9 +469,9 @@ class SocketEcl:
             )
             self._apply(slot.configuration, now_s)
             return True
-        if slot.window is None and now_s + 1e-12 >= slot.measure_from_s:
+        if slot.window is None and at_or_after(now_s, slot.measure_from_s):
             slot.window = self._open_window(now_s)
-        if now_s + 1e-12 >= slot.measure_until_s:
+        if at_or_after(now_s, slot.measure_until_s):
             saturated = slot.saturated_at_start and self.backlog_fn() > 0
             if slot.window is not None and saturated:
                 energy, instructions, duration = self._close_window(
@@ -518,7 +519,7 @@ class SocketEcl:
     def is_due(self, now_s: float) -> bool:
         """Whether :meth:`on_tick` may act at ``now_s``; before
         :attr:`due_s` a visit is a pure no-op."""
-        return now_s + 1e-12 >= self.due_s
+        return at_or_after(now_s, self.due_s)
 
     def on_tick(self, now_s: float) -> None:
         """Drive the loop; call before an engine tick on which it is due.
@@ -535,7 +536,7 @@ class SocketEcl:
         self.due_s = float("-inf") if horizon is None else horizon
 
     def _act(self, now_s: float) -> None:
-        if now_s + 1e-12 >= self._next_interval_s:
+        if at_or_after(now_s, self._next_interval_s):
             self._next_interval_s += self.params.interval_s
             self._decide(now_s)
 
@@ -593,11 +594,11 @@ class SocketEcl:
                     self.macro_cut = "mux-saturated"
                     return None  # transitions to settle on the next tick
                 return min(horizon, slot.prepare_until_s)
-            if now_s + 1e-12 >= slot.measure_until_s:
+            if at_or_after(now_s, slot.measure_until_s):
                 self.macro_cut = "mux-window-close"
                 return None  # the counter window closes next tick
             if slot.window is None:
-                if now_s + 1e-12 >= slot.measure_from_s:
+                if at_or_after(now_s, slot.measure_from_s):
                     self._cut_at_read("mux-window-open", now_s)
                     return None  # the counter window opens next tick
                 return min(horizon, slot.measure_from_s)
@@ -631,7 +632,7 @@ class SocketEcl:
 
     def _cut_at_read(self, reason: str, now_s: float) -> None:
         # A decision due on the same tick may reconfigure: not a read.
-        deciding = now_s + 1e-12 >= self._next_interval_s
+        deciding = at_or_after(now_s, self._next_interval_s)
         self.macro_cut = "decide" if deciding else reason
 
     # -- introspection ---------------------------------------------------------------

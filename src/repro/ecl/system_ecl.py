@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from repro.errors import ControlError
 from repro.dbms.stats import LatencyTracker
+from repro.units import at_or_after
 
 
 class SystemEcl:
@@ -49,7 +50,7 @@ class SystemEcl:
 
     def on_tick(self, now_s: float) -> None:
         """Refresh the cached estimate once per check interval."""
-        if now_s + 1e-12 < self._next_check_s:
+        if not at_or_after(now_s, self._next_check_s):
             return
         self._next_check_s = now_s + self.check_interval_s
         self._checks += 1

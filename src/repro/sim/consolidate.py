@@ -69,6 +69,7 @@ from repro.placement import (
     StaticPlacement,
 )
 from repro.sim.metrics import SampleAnnotations
+from repro.units import at_or_after
 
 if TYPE_CHECKING:
     from repro.dbms.engine import DatabaseEngine
@@ -167,7 +168,7 @@ class ConsolidationController:
         self.machine.settle_node_power()
         self.inner.on_tick(now_s, dt_s)
         self._complete_wakes(now_s)
-        if now_s + 1e-12 >= self._next_check_s:
+        if at_or_after(now_s, self._next_check_s):
             self._next_check_s += self.check_interval_s
             self._replan(now_s)
         self._settle(now_s)
@@ -193,7 +194,7 @@ class ConsolidationController:
         horizon, charges = view
         horizon = min(horizon, self._next_check_s)
         for hold in self._wake_hold_until.values():
-            if now_s + 1e-12 < hold:
+            if not at_or_after(now_s, hold):
                 horizon = min(horizon, hold)
         return horizon, charges
 
@@ -206,7 +207,7 @@ class ConsolidationController:
         """
         if (
             self.machine.booting_node_count
-            or now_s + 1e-12 >= self._next_check_s
+            or at_or_after(now_s, self._next_check_s)
             or self._busy(now_s)
         ):
             return False
@@ -325,7 +326,7 @@ class ConsolidationController:
         for unit in self._empty_units():
             if unit in self._parked:
                 continue
-            if now_s + 1e-12 < self._wake_hold_until.get(unit, 0.0):
+            if not at_or_after(now_s, self._wake_hold_until.get(unit, 0.0)):
                 continue  # just resumed: give the planner time to load it
             if all(
                 not hubs[sid].pending_messages

@@ -52,6 +52,7 @@ from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.sim.observers import RunObserver
+from repro.units import at_or_after
 
 if TYPE_CHECKING:
     import os
@@ -262,7 +263,7 @@ class TraceRecorder(RunObserver):
         # first tick starting at/after a change reads the new levels.
         # The runner cuts spans at signal changes, so that tick is live.
         environment = self._environment
-        if environment is not None and now_s + 1e-12 >= self._env_next_s:
+        if environment is not None and at_or_after(now_s, self._env_next_s):
             self._emit(
                 {
                     "event": "environment",
