@@ -117,6 +117,27 @@ class TestCustomRegistration:
             unregister_policy("test-null")
         assert "test-null" not in registered_policies()
 
+    def test_policy_without_macro_view_is_named_as_the_refusal(self):
+        """Every live tick of a policy without ``macro_view`` counts as a
+        refusal by ``policy:<ClassName>``, so the span-cut stats (and
+        the trace's ``macro`` event) say why nothing was skipped."""
+        register_policy("test-unaware", _NullPolicy.build)
+        try:
+            runner = SimulationRunner(
+                RunConfiguration(
+                    workload=kv(),
+                    profile=constant_profile(0.2, duration_s=1.0),
+                    policy="test-unaware",
+                )
+            )
+            runner.run()
+        finally:
+            unregister_policy("test-unaware")
+        stats = runner.span_cut_stats()
+        assert stats["ticks_skipped"] == 0
+        assert stats["refusals"] == 500  # 1 s at 2 ms ticks
+        assert stats["cut_by"] == {"policy:_NullPolicy": 500}
+
     def test_duplicate_name_rejected(self):
         register_policy("test-dup", _NullPolicy.build)
         try:
