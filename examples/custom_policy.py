@@ -36,18 +36,9 @@ class LowestClockPolicy:
     """All threads active, all clocks pinned to the minimum, forever."""
 
     def __init__(self, engine):
-        self.machine = engine.machine
-        self._applied = False
-
-    @classmethod
-    def build(cls, engine, config):
-        # The factory hook the registry calls: (engine, config) -> policy.
-        return cls(engine)
-
-    def on_tick(self, now_s, dt_s):
-        if self._applied:
-            return
-        machine = self.machine
+        # Set the knobs when the policy is built: the first tick already
+        # runs under them, and nothing is left for on_tick to do.
+        self.machine = machine = engine.machine
         machine.cstates.set_active_threads(
             {t.global_id for t in machine.topology.iter_threads()}
         )
@@ -57,7 +48,20 @@ class LowestClockPolicy:
         machine.set_epb_all(EnergyPerformanceBias.POWERSAVE)
         for sock in machine.topology.sockets:
             machine.frequency.set_uncore_auto(sock.socket_id)
-        self._applied = True
+
+    @classmethod
+    def build(cls, engine, config):
+        # The factory hook the registry calls: (engine, config) -> policy.
+        return cls(engine)
+
+    def on_tick(self, now_s, dt_s):
+        pass  # the knobs never change after build
+
+    def macro_view(self, now_s, dt_s):
+        # When on_tick next acts: never.  This lets the runner skip every
+        # steady stretch of the run in one step; without macro_view each
+        # tick runs live.
+        return float("inf"), {}
 
     def annotate_sample(self):
         # Shows up in every SamplePoint's `applied` column.
