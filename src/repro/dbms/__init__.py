@@ -30,7 +30,7 @@ from repro.dbms.inter_socket import InterSocketRouter
 from repro.dbms.worker import Worker, WorkerState
 from repro.dbms.elasticity import ElasticWorkerPool
 from repro.dbms.queries import Query, QueryStage, QueryTracker
-from repro.dbms.stats import LatencySample, LatencyTracker, UtilizationTracker
+from repro.dbms.stats import LatencyTracker, UtilizationTracker
 from repro.dbms.engine import DatabaseEngine
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "Query",
     "QueryStage",
     "QueryTracker",
-    "LatencySample",
     "LatencyTracker",
     "UtilizationTracker",
     "DatabaseEngine",

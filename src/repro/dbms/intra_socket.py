@@ -137,8 +137,13 @@ class IntraSocketHub:
         socket_id: int,
         partition_ids: Iterable[int],
         vectorized: bool = False,
+        changed: set[int] | None = None,
     ):
         self.socket_id = socket_id
+        #: Set this hub adds its socket id to whenever its pending state
+        #: (messages, instructions, tags) changes — the engine passes one
+        #: set shared by all hubs, so a tick re-reads only the hubs in it.
+        self._changed: set[int] = set() if changed is None else changed
         self._vectorized = vectorized
         if vectorized:
             self._queues: dict[int, _SoaQueue] = {
@@ -309,6 +314,7 @@ class IntraSocketHub:
         else:
             self._pending_by_tag.pop(None, None)
         self._tag_version += 1
+        self._changed.add(self.socket_id)
 
     def pending_cost_instructions(self) -> float:
         """Total modeled instructions waiting in all queues.
@@ -330,6 +336,7 @@ class IntraSocketHub:
         else:
             self._pending_by_tag[key] = (chars, total)
         self._tag_version += 1
+        self._changed.add(self.socket_id)
 
     def pending_by_characteristics(self) -> list[tuple[object, float]]:
         """(characteristics, pending instructions) per tag.
@@ -442,6 +449,7 @@ class IntraSocketHub:
             self._pending_instructions = 0.0  # kill float drift at empty
             self._pending_by_tag.clear()
             self._tag_version += 1
+            self._changed.add(self.socket_id)
         return batch
 
     def _materialize_head(self, partition_id: int, queue: _SoaQueue) -> Message:
@@ -574,6 +582,7 @@ class IntraSocketHub:
         elif not len(queue):
             queue.head = queue.tail = 0
         self._tag_version += 1
+        self._changed.add(self.socket_id)
         return query_ids
 
     def pop_object(
@@ -602,6 +611,7 @@ class IntraSocketHub:
             self._pending_instructions = 0.0  # kill float drift at empty
             self._pending_by_tag.clear()
             self._tag_version += 1
+            self._changed.add(self.socket_id)
         return seq, message
 
     def unpop_object(
@@ -659,6 +669,7 @@ class IntraSocketHub:
         self._require_partition(partition_id)
         self._frozen.add(partition_id)
         self._tag_version += 1
+        self._changed.add(self.socket_id)
 
     def unfreeze_partition(self, partition_id: int) -> None:
         """Make a frozen partition acquirable again (aborted migration)."""
@@ -666,6 +677,7 @@ class IntraSocketHub:
         self._frozen.discard(partition_id)
         self._push_depth(partition_id)
         self._tag_version += 1
+        self._changed.add(self.socket_id)
 
     def evict_partition(self, partition_id: int) -> list[Message]:
         """Remove a partition from this hub, returning its queued messages.
@@ -702,6 +714,7 @@ class IntraSocketHub:
             self._pending_instructions = 0.0  # kill float drift at empty
             self._pending_by_tag.clear()
             self._tag_version += 1
+            self._changed.add(self.socket_id)
         self._frozen.discard(partition_id)
         self._order.pop(partition_id, None)
         # _entry_gen is kept on purpose: stale heap entries of the evicted

@@ -54,9 +54,10 @@ class SystemEcl:
             return
         self._next_check_s = now_s + self.check_interval_s
         self._checks += 1
-        self._average_latency_s = self.latency.average_latency_s(now_s)
-        self._time_to_violation_s = self.latency.time_to_violation_s(
-            self.latency_limit_s, now_s
+        average = self.latency.average_latency_s(now_s)
+        self._average_latency_s = average
+        self._time_to_violation_s = self.latency.violation_eta_s(
+            self.latency_limit_s, now_s, average
         )
         if (
             self._average_latency_s is not None

@@ -22,6 +22,8 @@ from __future__ import annotations
 import enum
 from typing import Iterable
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.hardware.presets import HaswellEPParameters
 from repro.hardware.topology import Topology
@@ -98,9 +100,9 @@ class CStateModel:
         #: except when the node's idle bit flips, which is part of every
         #: node-peer socket's content (the Fig. 5 uncore-halt
         #: dependency) and invalidates all of them.
-        self._fingerprint_socket_versions: dict[int, int] = {
-            s.socket_id: 0 for s in topology.sockets
-        }
+        self._fingerprint_socket_versions = np.zeros(
+            len(topology.sockets), dtype=np.int64
+        )
         self._fingerprints: dict[int, tuple[int, int]] = {}
         self._fingerprint_ids: dict[tuple, int] = {}
 
@@ -175,8 +177,7 @@ class CStateModel:
             self._node_threads[self._socket_node[socket_id]] += 1
         self._active_on_socket.clear()
         self._version += 1
-        for sid in self._fingerprint_socket_versions:
-            self._fingerprint_socket_versions[sid] += 1
+        self._fingerprint_socket_versions += 1
 
     def set_socket_threads(
         self, socket_id: int, thread_ids: Iterable[int]
@@ -280,7 +281,14 @@ class CStateModel:
         per-socket consumers (the worker pool sync) can skip resyncing
         sockets untouched by a reconfiguration elsewhere.
         """
-        return self._fingerprint_socket_versions[socket_id]
+        return int(self._fingerprint_socket_versions[socket_id])
+
+    @property
+    def socket_versions(self) -> np.ndarray:
+        """Every socket's :meth:`socket_mutation_version`, as one array
+        over the socket axis (read-only; the worker-pool sync and the
+        machine's resolve memo compare it in one masked pass)."""
+        return self._fingerprint_socket_versions
 
     def thread_is_active(self, thread_id: int) -> bool:
         """Whether a hardware thread is unparked."""

@@ -26,6 +26,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.hardware.presets import HaswellEPParameters
 from repro.hardware.topology import Topology
@@ -211,9 +213,9 @@ class FrequencyDomains:
         #: socket-local, so invalidation is per socket — reconfiguring
         #: one socket (RTI duty cycling) leaves the other's cached
         #: fingerprint valid.
-        self._fingerprint_socket_versions: dict[int, int] = {
-            s.socket_id: 0 for s in topology.sockets
-        }
+        self._fingerprint_socket_versions = np.zeros(
+            len(topology.sockets), dtype=np.int64
+        )
         self._fingerprints: dict[int, tuple[int, int]] = {}
         self._fingerprint_ids: dict[tuple, int] = {}
         #: Derived per-core EPB, cached per EPB mutation (the dwell
@@ -242,7 +244,14 @@ class FrequencyDomains:
         resolve memo) can skip re-deriving clocks for sockets untouched
         by a reconfiguration elsewhere.
         """
-        return self._fingerprint_socket_versions[socket_id]
+        return int(self._fingerprint_socket_versions[socket_id])
+
+    @property
+    def socket_versions(self) -> np.ndarray:
+        """Every socket's :meth:`socket_mutation_version`, as one array
+        over the socket axis (read-only; the machine's resolve memo
+        compares it in one masked pass)."""
+        return self._fingerprint_socket_versions
 
     def core_ladder_for(self, socket_id: int) -> FrequencyLadder:
         """The core P-state ladder of one socket (per-node on clusters)."""
@@ -550,8 +559,7 @@ class FrequencyDomains:
             self._epb[thread_id] = bias
         self._version += 1
         self._epb_version += 1
-        for socket_id in self._fingerprint_socket_versions:
-            self._fingerprint_socket_versions[socket_id] += 1
+        self._fingerprint_socket_versions += 1
 
     def epb(self, thread_id: int) -> EnergyPerformanceBias:
         """The EPB currently set for a hardware thread."""

@@ -5,7 +5,9 @@ register by name with a factory and a description, out-of-tree profiles
 hook in via :func:`register_profile`, and the CLI (``--profile`` /
 ``--list-profiles``) just renders the table.  Factories take
 ``(duration_s, level)`` — every built-in stretches its shape onto the
-requested duration, and ``level`` parameterizes the flat profile.
+requested duration, and ``level`` parameterizes the flat profile; each
+entry says whether its profile takes a level (``takes_level``), so the
+CLI can refuse a ``--level`` the profile would ignore.
 
 The built-in registrations at the bottom are the single source of truth
 for profile names: nothing else under ``src/`` spells them out.
@@ -34,20 +36,28 @@ class ProfileInfo:
         name: the public lookup name (CLI ``--profile``, suite scripts).
         factory: builds the profile for a (duration_s, level) pair.
         description: one-liner for ``repro run --list-profiles``.
+        takes_level: whether ``factory`` reads its ``level`` argument.
     """
 
     name: str
     factory: ProfileFactory
     description: str = ""
+    takes_level: bool = True
 
 
 _REGISTRY: dict[str, ProfileInfo] = {}
 
 
 def register_profile(
-    name: str, factory: ProfileFactory, description: str = ""
+    name: str,
+    factory: ProfileFactory,
+    description: str = "",
+    takes_level: bool = True,
 ) -> ProfileInfo:
     """Register a load profile under a unique name.
+
+    ``takes_level=False`` declares that the factory ignores its
+    ``level`` argument.
 
     Raises:
         SimulationError: on empty or duplicate names.
@@ -58,7 +68,12 @@ def register_profile(
         )
     if name in _REGISTRY:
         raise SimulationError(f"profile {name!r} is already registered")
-    info = ProfileInfo(name=name, factory=factory, description=description)
+    info = ProfileInfo(
+        name=name,
+        factory=factory,
+        description=description,
+        takes_level=takes_level,
+    )
     _REGISTRY[name] = info
     return info
 
@@ -106,16 +121,19 @@ register_profile(
     "spike",
     lambda duration_s, level: spike_profile(duration_s=duration_s),
     description="idle floor with one short full-load burst (Fig. 13 shape)",
+    takes_level=False,
 )
 register_profile(
     "twitter",
     lambda duration_s, level: twitter_profile(duration_s=duration_s),
     description="one hour of the Twitter trace, compressed (§6.2)",
+    takes_level=False,
 )
 register_profile(
     "twitter-day",
     lambda duration_s, level: twitter_day_profile(duration_s=duration_s),
     description="the full diurnal Twitter day: deep trough, evening peak (§6.2)",
+    takes_level=False,
 )
 register_profile(
     "constant",
@@ -126,4 +144,5 @@ register_profile(
     "sine",
     lambda duration_s, level: sine_profile(duration_s=duration_s),
     description="smooth full-swing oscillation (controller step response)",
+    takes_level=False,
 )
