@@ -18,6 +18,8 @@ speed.  Energy control without a latency constraint isn't control.
 Run:  python examples/custom_policy.py
 """
 
+import numpy as np
+
 from repro.hardware.frequency import EnergyPerformanceBias
 from repro.loadprofiles import spike_profile
 from repro.sim import (
@@ -48,6 +50,9 @@ class LowestClockPolicy:
         machine.set_epb_all(EnergyPerformanceBias.POWERSAVE)
         for sock in machine.topology.sockets:
             machine.frequency.set_uncore_auto(sock.socket_id)
+        # The overhead the policy adds per skipped tick, indexed by
+        # socket id: none.
+        self.charges = np.zeros(machine.topology.socket_count)
 
     @classmethod
     def build(cls, engine, config):
@@ -61,7 +66,7 @@ class LowestClockPolicy:
         # When on_tick next acts: never.  This lets the runner skip every
         # steady stretch of the run in one step; without macro_view each
         # tick runs live.
-        return float("inf"), {}
+        return float("inf"), self.charges
 
     def annotate_sample(self):
         # Shows up in every SamplePoint's `applied` column.

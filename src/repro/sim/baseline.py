@@ -29,6 +29,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.dbms.engine import DatabaseEngine
 from repro.hardware.frequency import EnergyPerformanceBias
 from repro.sim.metrics import SampleAnnotations
@@ -93,6 +95,8 @@ class FixedKnobPolicy:
             )
         self._idle_since: float | None = None
         self._parked = False
+        #: The policy costs no overhead on a skipped tick.
+        self._charges = np.zeros(self.machine.topology.socket_count)
         apply_start_state(self.machine, self._core_ghz, epb)
 
     @classmethod
@@ -148,11 +152,11 @@ class FixedKnobPolicy:
 
     def macro_view(
         self, now_s: float, dt_s: float
-    ) -> tuple[float, dict[int, float]] | None:
+    ) -> tuple[float, np.ndarray] | None:
         """Steady-state view for the macro-stepping runner: the time of
         the next action, or ``None`` when the next tick acts."""
         due = self._next_action_s(now_s, dt_s)
-        return None if due <= now_s else (due, {})
+        return None if due <= now_s else (due, self._charges)
 
     def annotate_sample(self) -> SampleAnnotations:
         """The preset's label per socket (``parked`` while parked)."""

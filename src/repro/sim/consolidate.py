@@ -72,6 +72,8 @@ from repro.sim.metrics import SampleAnnotations
 from repro.units import at_or_after
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from repro.dbms.engine import DatabaseEngine
     from repro.ecl.controller import EnergyControlLoop
     from repro.sim.runner import RunConfiguration
@@ -178,7 +180,7 @@ class ConsolidationController:
 
     def macro_view(
         self, now_s: float, dt_s: float
-    ) -> tuple[float, dict[int, float]] | None:
+    ) -> tuple[float, np.ndarray] | None:
         """Steady-state view for the macro-stepping runner: the inner
         ECL's, tightened by the next planning check and the earliest
         wake-hold expiry (a held unit may park the moment its hold

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.dbms.engine import DatabaseEngine
 from repro.errors import ControlError
 from repro.hardware.frequency import EnergyPerformanceBias
@@ -72,6 +74,8 @@ class OndemandGovernorPolicy:
         self._index = {
             sid: len(steps) - 1 for sid, steps in self._steps.items()
         }
+        #: The governor costs no overhead on a skipped tick.
+        self._charges = np.zeros(self.machine.topology.socket_count)
         apply_start_state(
             self.machine,
             {sid: steps[-1] for sid, steps in self._steps.items()},
@@ -122,13 +126,13 @@ class OndemandGovernorPolicy:
 
     def macro_view(
         self, now_s: float, dt_s: float
-    ) -> tuple[float, dict[int, float]] | None:
+    ) -> tuple[float, np.ndarray] | None:
         """Steady-state view for the macro-stepping runner.
 
         Between decision deadlines :meth:`on_tick` is a pure deadline
         comparison, so the next decision time bounds the span.
         """
-        return self._decision.next_due_s, {}
+        return self._decision.next_due_s, self._charges
 
     def annotate_sample(self) -> SampleAnnotations:
         """No annotations: pinned by the pre-registry A/B goldens.

@@ -24,13 +24,14 @@ Adding a policy is a one-file change::
 
         def __init__(self, engine):
             self.machine = engine.machine
+            self.charges = np.zeros(self.machine.topology.socket_count)
             ...  # set the start knobs here: the first tick runs under them
 
         def on_tick(self, now_s, dt_s):
             ...  # act when due: touch self.machine knobs
 
         def macro_view(self, now_s, dt_s):
-            return float("inf"), {}  # on_tick never acts again
+            return float("inf"), self.charges  # on_tick never acts again
 
         def annotate_sample(self):
             return SampleAnnotations()
@@ -94,7 +95,7 @@ class ControlPolicy(Protocol):
     # protocol (the runner probes for each member with getattr)::
     #
     #     def macro_view(self, now_s: float, dt_s: float) \
-    #             -> tuple[float, dict[int, float]] | None: ...
+    #             -> tuple[float, np.ndarray] | None: ...
     #
     # Returning ``(horizon_s, tick_charges)`` promises that for every
     # tick of width ``dt_s`` starting strictly before ``horizon_s`` on
@@ -102,8 +103,10 @@ class ControlPolicy(Protocol):
     # completions, message movement, or migrations — the runner and
     # engine guarantee those separately), ``on_tick`` is *exactly*
     # equivalent to calling ``engine.add_overhead_instructions(sid,
-    # tick_charges[sid])`` for each listed socket: no hardware knobs, no
-    # counter reads, no RNG.  ``None`` means "not right now" and forces
+    # tick_charges[sid])`` for every socket id ``sid`` (``tick_charges``
+    # is an array indexed by socket id, all zeros for a policy whose
+    # control costs nothing; build it once, not per call): no hardware
+    # knobs, no counter reads, no RNG.  ``None`` means "not right now" and forces
     # per-tick execution; policies without the method never macro-step.
     # ``macro_step_tick(now_s, dt_s) -> bool`` runs a refused tick's
     # control phase in place when it touches no hardware;
